@@ -28,7 +28,7 @@ import itertools
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -142,9 +142,22 @@ def twisted_shift(
         raise DomainError(f"unknown shift convention {convention!r}")
     if not len(u) == len(v) == len(xi) == len(eta):
         raise DomainError("u, v, xi, eta must share one block length")
+    anchor = np.asarray([tuple(u) + tuple(v)], dtype=object)
+    cell = np.asarray([tuple(xi) + tuple(eta)], dtype=object)
+    return int(_shear(int(mu), anchor, cell, convention)[0, 0])
+
+
+def _shear(mu: int, anchors: np.ndarray, cells: np.ndarray, convention: str) -> np.ndarray:
+    """mu * (anchor @ J @ cell) for every pair of spatial rows (u, v) and
+    (xi, eta), shape (len(anchors), len(cells)); the form J gives
+    u.eta - v.xi (standard) or u.xi - v.eta (swapped)."""
+    n = anchors.shape[-1] // 2
+    eye, zero = np.eye(n, dtype=np.int64), np.zeros((n, n), dtype=np.int64)
     if convention == SHIFT_STANDARD:
-        return int(mu) * (sum(a * b for a, b in zip(u, eta)) - sum(a * b for a, b in zip(v, xi)))
-    return int(mu) * (sum(a * b for a, b in zip(u, xi)) - sum(a * b for a, b in zip(v, eta)))
+        form = np.block([[zero, eye], [-eye, zero]])
+    else:
+        form = np.block([[eye, zero], [zero, -eye]])
+    return mu * (anchors @ form @ cells.T)
 
 
 @dataclass(frozen=True)
@@ -219,64 +232,47 @@ def _box_tables(family: RectangleFamily):
     )
 
 
-@lru_cache(maxsize=64)
-def _t_tables(family: RectangleFamily):
-    """All t intervals of the family meeting the extents, plus coverage lists.
-
-    Returns (a, b, length, cover) where cover[i] indexes the intervals
-    containing the i-th t value of the extents.
-    """
-    grid = family.grid
-    a_list, b_list = [], []
-    for L in family.t_len_choices():
-        for a in range(grid.t_lo - L + 1, grid.t_hi + 1):
-            a_list.append(a)
-            b_list.append(a + L - 1)
-    a = np.asarray(a_list, dtype=np.int64)
-    b = np.asarray(b_list, dtype=np.int64)
-    cover = tuple(
-        np.flatnonzero((a <= t) & (t <= b)) for t in range(grid.t_lo, grid.t_hi + 1)
-    )
-    return a, b, (b - a + 1), cover
-
-
 def _spatial_coords(grid: GridSpec) -> np.ndarray:
     axes = [np.arange(lo, hi + 1, dtype=np.int64) for lo, hi in grid.extents[: 2 * grid.n]]
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2 * grid.n)
 
 
-def _check_inputs(f: ScalarField, omega: WeightField, family: RectangleFamily) -> None:
+def _check_inputs(f: ScalarField, omega: WeightField, family: RectangleFamily, convention=SHIFT_STANDARD) -> None:
     if f.grid != family.grid or omega.grid != family.grid:
         raise DomainError("field, weight and family must share one grid")
     if not omega.t_independent:
         raise DomainError("maximal averages need a t-independent weight")
+    if convention not in _CONVENTIONS:
+        raise DomainError(f"unknown shift convention {convention!r}")
 
 
 # ---------------------------------------------------------------------------
 # fast path: prefix sums over sheared gathers
 
 
-def _column_values(
+def _box_blocks(
     f: ScalarField,
     omega: WeightField,
     family: RectangleFamily,
     cols: np.ndarray,
     convention: str,
     expanded_w: np.ndarray | None = None,
-) -> np.ndarray:
-    """Twisted maximal values on whole t columns.
-
-    cols are flat indices into the spatial extents (C order); the result
-    has shape (len(cols), t_len).  One t-prefix gather per (anchor, cell)
-    pair makes every rectangle numerator a difference of two entries, and
-    a spatial prefix turns box sums into corner sums.
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Box stage of the fast path on whole t columns (flat spatial indices
+    cols, C order).  One t-prefix gather per (anchor, cell) pair puts every
+    cell's sheared samples on a common axis of n_c = t_len + 2 * max_t_len
+    cuts from c_lo = t_lo - max_t_len + 1, and a spatial prefix turns box
+    sums into corner sums.  Yields (bs, bv, wv) per block of boxes bs.. of
+    _box_tables: bv (m, n_c, nb) is stored cuts-major, bv[k, c, j] being
+    the sum of omega * |f| over box j of anchor k at sheared t < c_lo + c,
+    and wv (m, nb) holds the boxes' weighted volumes.  One byte budget
+    sizes a block: bv, one slab as large (a gathered corner, later the
+    cuts-major copy) and the six int64 corner-index arrays.
     """
     grid = f.grid
-    n, sp = grid.n, 2 * grid.n
-    L = grid.t_len
-    lo_off, side_ax, cells = _box_tables(family)
-    ta, tb, tlen, cover = _t_tables(family)
-    nbox, n_t = lo_off.shape[0], ta.shape[0]
+    sp, L = 2 * grid.n, grid.t_len
+    lo_off, side_ax, _ = _box_tables(family)
+    nbox = lo_off.shape[0]
     cap_t = family.max_t_len
     margins = family.margins()
 
@@ -297,12 +293,7 @@ def _column_values(
 
     anchors = coords_sp[cols]
     m = anchors.shape[0]
-    U, V = anchors[:, :n], anchors[:, n:sp]
-    XI, ETA = coords_sp[:, :n], coords_sp[:, n:sp]
-    if convention == SHIFT_STANDARD:
-        shear = grid.mu * (U @ ETA.T - V @ XI.T)
-    else:
-        shear = grid.mu * (U @ XI.T - V @ ETA.T)
+    shear = _shear(grid.mu, anchors, coords_sp, convention)
 
     # cut values c with t-prefix index clip(c + shear - t_lo, 0, L)
     c_lo = grid.t_lo - cap_t + 1
@@ -317,44 +308,75 @@ def _column_values(
     p = np.pad(p, [(0, 0)] + [(1, 0)] * sp + [(0, 0)])
 
     widths = np.asarray(grid.spatial_shape, dtype=np.int64)
-    lows = np.asarray(grid.lows[:sp], dtype=np.int64)
-    anchor_idx = anchors - lows[None, :]
-    ai = (ta - c_lo).astype(np.int64)
-    bi = (tb + 1 - c_lo).astype(np.int64)
-
-    colmax = np.zeros((m, n_t))
-    rows = np.arange(m)
-    box_block = max(1, int((1 << 27) // max(1, m * n_c * 8)))
-    j_block = max(1, int((1 << 24) // max(1, m * min(box_block, nbox) * 8)))
+    anchor_idx = anchors - np.asarray(grid.lows[:sp], dtype=np.int64)[None, :]
+    rows = np.arange(m)[:, None]
+    p_rows = p.reshape(-1, n_c)
+    box_block = max(1, (1 << 27) // (m * (2 * n_c + 6 * sp) * 8))
     for bs in range(0, nbox, box_block):
         be = min(bs + box_block, nbox)
         blo = anchor_idx[:, None, :] + lo_off[None, bs:be, :]
         bhi = blo + side_ax[None, bs:be, :]
         # numerator corners, clipped to the extents (f vanishes outside)
-        nlo = np.clip(blo, 0, widths[None, None, :])
-        nhi = np.clip(bhi, 0, widths[None, None, :])
+        nlo = np.clip(blo, 0, widths)
+        nhi = np.clip(bhi, 0, widths)
         # denominator corners in the extended window (never clipped)
-        wlo = blo + np.asarray(margins, dtype=np.int64)[None, None, :]
-        whi = wlo + side_ax[None, bs:be, :]
+        wlo = blo + margins
+        whi = bhi + margins
         bv = np.zeros((m, be - bs, n_c))
         wv = np.zeros((m, be - bs))
         for bits in itertools.product((0, 1), repeat=sp):
-            sign = -1.0 if (sp - sum(bits)) % 2 else 1.0
-            nidx = tuple((nhi if b else nlo)[:, :, ax] for ax, b in enumerate(bits))
+            nidx = (rows,) + tuple((nhi if b else nlo)[:, :, ax] for ax, b in enumerate(bits))
             widx = tuple((whi if b else wlo)[:, :, ax] for ax, b in enumerate(bits))
-            bv += sign * p[(rows[:, None],) + nidx]
-            wv += sign * pw[widx]
+            # one gathered corner slab at a time, added or subtracted in place
+            op = np.subtract if (sp - sum(bits)) % 2 else np.add
+            op(bv, p_rows.take(np.ravel_multi_index(nidx, p.shape[:-1]), axis=0), out=bv)
+            op(wv, pw.take(np.ravel_multi_index(widx, pw.shape)), out=wv)
+        bv = np.ascontiguousarray(bv.transpose(0, 2, 1))
         if not np.all(wv > 0):
             raise InvariantViolation("weighted volume must be positive on every box")
-        for js in range(0, n_t, j_block):
-            je = min(js + j_block, n_t)
-            num = bv[:, :, bi[js:je]] - bv[:, :, ai[js:je]]
-            num /= wv[:, :, None] * tlen[js:je][None, None, :]
-            np.maximum(colmax[:, js:je], num.max(axis=1), out=colmax[:, js:je])
-    out = np.empty((m, L))
-    for ti in range(L):
-        out[:, ti] = colmax[:, cover[ti]].max(axis=1)
+        yield bs, bv, wv
+
+
+def _column_values(
+    f: ScalarField,
+    omega: WeightField,
+    family: RectangleFamily,
+    cols: np.ndarray,
+    convention: str,
+    expanded_w: np.ndarray | None = None,
+) -> np.ndarray:
+    """Twisted maximal values on whole t columns, shape (len(cols), t_len).
+
+    Interval stage over _box_blocks: with bv cuts-major, the numerators of
+    the cnt = t_len + L - 1 intervals of t length L (starts t_lo - L + 1
+    .. t_hi) are one contiguous slice difference bv[:, s + L : s + L + cnt]
+    - bv[:, s : s + cnt], s = max_t_len - L, divided by wv * L; the maximum
+    over boxes runs along the contiguous axis, and the maximum at each t
+    over the L intervals through it is a width-L sliding-window maximum.
+    Exactness: each average is one prefix difference over one product
+    wv * L, each prefix entry comes from the same gather, cumsums and
+    corner additions in a fixed order whatever the chunk, block or layout,
+    and maxima are exact; so argmax_rectangle, running both stages on one
+    column, reads bitwise the value stored here.
+    """
+    grid = f.grid
+    swv = np.lib.stride_tricks.sliding_window_view
+    out = np.zeros((len(cols), grid.t_len))
+    for _, bv, wv in _box_blocks(f, omega, family, cols, convention, expanded_w):
+        for Lt in family.t_len_choices():
+            cnt = grid.t_len + Lt - 1
+            best = _averages(bv, wv, family.max_t_len - Lt, Lt, cnt).max(axis=2)
+            np.maximum(out, swv(best, Lt, axis=1).max(axis=2), out=out)
+        del bv  # freed before the next block is built
     return out
+
+
+def _averages(bv: np.ndarray, wv: np.ndarray, lo: int, Lt: int, cnt: int) -> np.ndarray:
+    """Averages over the cnt intervals of t length Lt whose lower cuts are
+    lo .. lo + cnt - 1, shape (m, cnt, nb)."""
+    num = bv[:, lo + Lt : lo + Lt + cnt] - bv[:, lo : lo + cnt]
+    num /= (wv * Lt)[:, None, :]
+    return num
 
 
 def maximal_field(
@@ -365,13 +387,10 @@ def maximal_field(
     column_chunk: int = 0,
 ) -> MaximalField:
     """Twisted weighted maximal field on the whole grid (fast path)."""
-    _check_inputs(f, omega, family)
-    if convention not in _CONVENTIONS:
-        raise DomainError(f"unknown shift convention {convention!r}")
+    _check_inputs(f, omega, family, convention)
     grid = f.grid
     n_sp = int(np.prod(grid.spatial_shape))
     L = grid.t_len
-    lo_off, _, _ = _box_tables(family)
     n_c = L + 2 * family.max_t_len
     if column_chunk <= 0:
         # small chunks keep the gather working set cache-resident
@@ -392,18 +411,13 @@ def maximal_twisted_form(
     convention: str = SHIFT_STANDARD,
 ) -> float:
     """Twisted weighted maximal average at one grid point."""
-    _check_inputs(f, omega, family)
-    if convention not in _CONVENTIONS:
-        raise DomainError(f"unknown shift convention {convention!r}")
+    _check_inputs(f, omega, family, convention)
     grid = f.grid
     coords = _as_point_coords(x, grid)
     if not grid.contains(coords):
         raise DomainError(f"point {coords} outside extents {grid.extents}")
-    sp = 2 * grid.n
-    flat = 0
-    for ax in range(sp):
-        flat = flat * grid.shape[ax] + (coords[ax] - grid.lows[ax])
-    vals = _column_values(f, omega, family, np.asarray([flat]), convention)
+    col = np.ravel_multi_index(np.subtract(coords, grid.lows)[: 2 * grid.n], grid.spatial_shape)
+    vals = _column_values(f, omega, family, np.asarray([col]), convention)
     return float(vals[0, coords[-1] - grid.t_lo])
 
 
@@ -486,12 +500,9 @@ def maximal_field_reference(
     data, independent of the prefix-sum machinery, and meant for small
     grids only.
     """
-    _check_inputs(f, omega, family)
-    if convention not in _CONVENTIONS:
-        raise DomainError(f"unknown shift convention {convention!r}")
+    _check_inputs(f, omega, family, convention)
     grid = f.grid
-    n, sp = grid.n, 2 * grid.n
-    L = grid.t_len
+    sp, L = 2 * grid.n, grid.t_len
     margins = family.margins()
     reach_t = family.max_t_len - 1
     w_exp = omega.expanded_spatial(margins)
@@ -527,16 +538,7 @@ def maximal_field_reference(
             for pc, mrg in zip(anchor, margins)
         ]
         mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-        if convention == SHIFT_STANDARD:
-            shear = grid.mu * (
-                np.tensordot(mesh[..., n:sp], anchor[:n], axes=(-1, 0))
-                - np.tensordot(mesh[..., :n], anchor[n:sp], axes=(-1, 0))
-            )
-        else:
-            shear = grid.mu * (
-                np.tensordot(mesh[..., :n], anchor[:n], axes=(-1, 0))
-                - np.tensordot(mesh[..., n:sp], anchor[n:sp], axes=(-1, 0))
-            )
+        shear = _shear(grid.mu, anchor[None, :], mesh.reshape(-1, sp), convention).reshape(mesh.shape[:-1])
         coords = np.empty(mesh.shape[:-1] + (tau.shape[0], grid.d), dtype=np.int64)
         coords[..., :sp] = mesh[..., None, :]
         coords[..., sp] = tau[None, :] + shear[..., None]
@@ -610,44 +612,40 @@ def argmax_rectangle(
     family: RectangleFamily,
     convention: str = SHIFT_STANDARD,
 ) -> tuple[Rectangle, float]:
-    """The lexicographically first rectangle attaining the twisted maximum
-    at x, ordered by (base corner, side lengths).  Desk scale only: walks
-    the whole anchored family."""
-    _check_inputs(f, omega, family)
+    """The rectangle attaining the twisted maximum at x, and that maximum.
+
+    Runs the fast path's two stages on x's column and reads its (box,
+    interval) table through t, so the value is the fast path's value at x,
+    bitwise what maximal_field stores there.  Among the entries equal to
+    it the first in (base corner, t_lo, per-factor sides, t length) wins.
+    """
+    _check_inputs(f, omega, family, convention)
     grid = f.grid
-    n, sp = grid.n, 2 * grid.n
     coords = _as_point_coords(x, grid)
     if not grid.contains(coords):
         raise DomainError(f"point {coords} outside extents {grid.extents}")
-    anchor = np.asarray(coords[:sp], dtype=np.int64)
-    best: tuple[Rectangle, float] | None = None
-    best_key = None
-    for r in family.rectangles_containing(coords):
-        axes = [np.arange(lo, hi + 1, dtype=np.int64) for lo, hi in r.bounds[:sp]]
-        mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-        if convention == SHIFT_STANDARD:
-            shear = grid.mu * (
-                np.tensordot(mesh[..., n:sp], anchor[:n], axes=(-1, 0))
-                - np.tensordot(mesh[..., :n], anchor[n:sp], axes=(-1, 0))
-            )
-        else:
-            shear = grid.mu * (
-                np.tensordot(mesh[..., :n], anchor[:n], axes=(-1, 0))
-                - np.tensordot(mesh[..., n:sp], anchor[n:sp], axes=(-1, 0))
-            )
-        tau = np.arange(r.t_lo, r.t_hi + 1, dtype=np.int64)
-        pts = np.empty(mesh.shape[:-1] + (tau.shape[0], grid.d), dtype=np.int64)
-        pts[..., :sp] = mesh[..., None, :]
-        pts[..., sp] = tau[None, :] + shear[..., None]
-        w_cells = omega.spatial_values_at(mesh)
-        num = float((np.abs(f.sample_many(pts)).sum(axis=-1) * w_cells).sum())
-        den = float(w_cells.sum()) * r.t_len
-        val = num / den
-        key = tuple(lo for lo, _ in r.bounds[:sp]) + (r.t_lo,) + r.sides + (r.t_len,)
-        if best is None or val > best[1] or (val == best[1] and key < best_key):
-            best, best_key = (r, val), key
-    assert best is not None
-    return best
+    sp, t = 2 * grid.n, coords[-1]
+    lo_off, side_ax, _ = _box_tables(family)
+    col = np.ravel_multi_index(np.subtract(coords, grid.lows)[:sp], grid.spatial_shape)
+    top, ties = -np.inf, []
+    for bs, bv, wv in _box_blocks(f, omega, family, np.asarray([col]), convention):
+        for Lt in family.t_len_choices():
+            # the Lt intervals through t start at t - Lt + 1 .. t
+            vals = _averages(bv, wv, family.max_t_len - Lt + (t - grid.t_lo), Lt, Lt)[0]
+            best = vals.max()
+            if best > top:
+                top, ties = best, []
+            if best == top:
+                j, box = np.nonzero(vals == top)
+                ties.append((np.full(j.shape, Lt), t - Lt + 1 + j, bs + box))
+    t_len, t_lo, box = (np.concatenate(k) for k in zip(*ties))
+    base = np.asarray(coords[:sp]) + lo_off[box]
+    sides = side_ax[box][:, list(grid.factor_starts)]
+    keys = np.column_stack([base, t_lo, sides, t_len])
+    win = np.lexsort(keys.T[::-1])[0]
+    bounds = [(lo, lo + s - 1) for lo, s in zip(base[win], side_ax[box[win]])]
+    bounds.append((t_lo[win], t_lo[win] + t_len[win] - 1))
+    return Rectangle.from_bounds(bounds, grid.factors), max(0.0, float(top))
 
 
 # ---------------------------------------------------------------------------

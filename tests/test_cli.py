@@ -93,6 +93,20 @@ def test_maximal_argmax_rectangle_flag(tmp_path):
     assert summary["argmax_rectangle_value"] == 1.0
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--size", "8", "--argmax-rect", "--gen-seed", "2"],
+        ["--size", "6", "--generator", "dense", "--weight", "power:1.0,1.0", "--argmax-rect"],
+    ],
+)
+def test_argmax_rectangle_value_is_max_value(tmp_path, argv):
+    # the summary's two views of the peak must be one number, bit for bit
+    assert main(["maximal", *argv, "--out", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["argmax_rectangle_value"] == summary["max_value"]
+
+
 def test_maximal_generator_matches_library(tmp_path):
     out = tmp_path / "gen"
     code = main([

@@ -398,6 +398,70 @@ def test_argmax_rectangle_tie_breaks_lexicographically():
     assert rect.bounds == ((0, 1), (0, 1), (1, 1))
 
 
+def _argmax_walk(f, w, x, fam, convention=SHIFT_STANDARD):
+    """Literal walk over every rectangle through x, each summed from its
+    sheared samples; the first in (base corner, t_lo, sides, t length)
+    among the largest averages wins."""
+    g = f.grid
+    n, sp = g.n, 2 * g.n
+    anchor = np.asarray(x[:sp], dtype=np.int64)
+    best, best_key = None, None
+    for r in fam.rectangles_containing(x):
+        axes = [np.arange(lo, hi + 1, dtype=np.int64) for lo, hi in r.bounds[:sp]]
+        mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+        u_eta = np.tensordot(mesh[..., n:sp], anchor[:n], axes=(-1, 0))
+        v_xi = np.tensordot(mesh[..., :n], anchor[n:sp], axes=(-1, 0))
+        u_xi = np.tensordot(mesh[..., :n], anchor[:n], axes=(-1, 0))
+        v_eta = np.tensordot(mesh[..., n:sp], anchor[n:sp], axes=(-1, 0))
+        shear = g.mu * ((u_eta - v_xi) if convention == SHIFT_STANDARD else (u_xi - v_eta))
+        tau = np.arange(r.t_lo, r.t_hi + 1, dtype=np.int64)
+        pts = np.empty(mesh.shape[:-1] + (tau.shape[0], g.d), dtype=np.int64)
+        pts[..., :sp] = mesh[..., None, :]
+        pts[..., sp] = tau[None, :] + shear[..., None]
+        w_cells = w.spatial_values_at(mesh)
+        num = float((np.abs(f.sample_many(pts)).sum(axis=-1) * w_cells).sum())
+        val = num / (float(w_cells.sum()) * r.t_len)
+        key = tuple(lo for lo, _ in r.bounds[:sp]) + (r.t_lo,) + r.sides + (r.t_len,)
+        if best is None or val > best[1] or (val == best[1] and key < best_key):
+            best, best_key = (r, val), key
+    return best
+
+
+def _exact_sweep_cases(count, seed):
+    """Seeded small geometries with integer data: n = 1 and 2, singleton or
+    paired factors, full and dyadic families with capped t lengths,
+    negative origins, mu in [-2, 2], both conventions."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(1, 3))
+        factors = () if rng.random() < 0.5 else (2,) * n
+        widths = rng.integers(2, 5, size=3) if n == 1 else 2 + (rng.random(5) < 0.3)
+        lows = rng.integers(-3, 2, size=2 * n + 1)
+        extents = tuple((int(lo), int(lo + wd - 1)) for lo, wd in zip(lows, widths))
+        g = GridSpec(n=n, extents=extents, factors=factors, mu=int(rng.integers(-2, 3)))
+        cap = int(rng.integers(1, g.t_len + 1)) if rng.random() < 0.5 else 0
+        fam = RectangleFamily(g, dyadic_only=bool(rng.random() < 0.5), max_t_len=cap)
+        if rng.random() < 0.4:
+            # mostly-ones fields tie often, so the tie-break order is exercised
+            f = ScalarField(g, (rng.random(g.shape) < 0.9).astype(np.float64))
+        else:
+            f = _int_field(g, rng, -4, 6)
+        w = make_constant_weight(g) if rng.random() < 0.5 else make_power_weight(g, (1.0,) * (2 * n))
+        convention = SHIFT_STANDARD if rng.random() < 0.5 else SHIFT_SWAPPED
+        x = tuple(int(lo + rng.integers(0, wd)) for lo, wd in zip(lows, widths))
+        yield f, w, fam, convention, x
+
+
+def test_argmax_rectangle_matches_literal_walk_and_field():
+    for f, w, fam, convention, x in _exact_sweep_cases(60, 2024):
+        rect, val = argmax_rectangle(f, w, x, fam, convention)
+        want_rect, want_val = _argmax_walk(f, w, x, fam, convention)
+        assert (rect, val) == (want_rect, want_val), (fam.describe(), f.grid, convention, x)
+        fast = maximal_field(f, w, fam, convention).values
+        np.testing.assert_array_equal(fast, maximal_field_reference(f, w, fam, convention).values)
+        assert val == fast[tuple(c - lo for c, lo in zip(x, f.grid.lows))]
+
+
 # ---------------------------------------------------------------------------
 # operator identities
 
