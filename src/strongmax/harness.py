@@ -72,6 +72,20 @@ def lambda_ladder(mf, rungs: int = 64, bracket: float = 1e-9) -> np.ndarray:
     return np.geomspace(float(pos.min()), float(pos.max()), rungs) * (1.0 - bracket)
 
 
+def _field_and_norm(f, omega, p, family, mf, convention, quantity: str) -> tuple[MaximalField, float]:
+    """Checked p > 1, M f (from the family unless given) and nonzero ||f||_Lp(w)."""
+    if not p > 1:
+        raise RangeError(f"p must be > 1, got {p}")
+    if mf is None:
+        if family is None:
+            raise DomainError("pass a rectangle family or a precomputed maximal field")
+        mf = maximal_field(f, omega, family, convention)
+    denom = lp_norm(f, omega, p)
+    if denom == 0:
+        raise DomainError(f"the zero field has no {quantity}")
+    return mf, denom
+
+
 def weak_type_quantity(
     f: ScalarField,
     omega: WeightField,
@@ -85,15 +99,7 @@ def weak_type_quantity(
 ) -> float:
     """Best ladder level of lam * vol_w(level set)^(1/p), normalised by
     ||f||_Lp(w); needs either a family to evaluate M f or the field itself."""
-    if not p > 1:
-        raise RangeError(f"p must be > 1, got {p}")
-    if mf is None:
-        if family is None:
-            raise DomainError("pass a rectangle family or a precomputed maximal field")
-        mf = maximal_field(f, omega, family, convention)
-    denom = lp_norm(f, omega, p)
-    if denom == 0:
-        raise DomainError("the zero field has no weak-type quantity")
+    mf, denom = _field_and_norm(f, omega, p, family, mf, convention, "weak-type quantity")
     if ladder is None:
         ladder = lambda_ladder(mf, rungs)
     lams = np.asarray(ladder, dtype=np.float64)
@@ -118,15 +124,7 @@ def strong_ratio(
     convention: str = SHIFT_STANDARD,
 ) -> float:
     """||M f||_Lp(w) / ||f||_Lp(w)."""
-    if not p > 1:
-        raise RangeError(f"p must be > 1, got {p}")
-    if mf is None:
-        if family is None:
-            raise DomainError("pass a rectangle family or a precomputed maximal field")
-        mf = maximal_field(f, omega, family, convention)
-    denom = lp_norm(f, omega, p)
-    if denom == 0:
-        raise DomainError("the zero field has no strong ratio")
+    mf, denom = _field_and_norm(f, omega, p, family, mf, convention, "strong ratio")
     return lp_norm(mf, omega, p) / denom
 
 

@@ -40,6 +40,7 @@ from .lattice import (
     Rectangle,
     RectangleFamily,
     ScalarField,
+    prefix_sums,
 )
 from .weights import WeightField
 
@@ -232,11 +233,6 @@ def _box_tables(family: RectangleFamily):
     )
 
 
-def _spatial_coords(grid: GridSpec) -> np.ndarray:
-    axes = [np.arange(lo, hi + 1, dtype=np.int64) for lo, hi in grid.extents[: 2 * grid.n]]
-    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2 * grid.n)
-
-
 def _check_inputs(f: ScalarField, omega: WeightField, family: RectangleFamily, convention=SHIFT_STANDARD) -> None:
     if f.grid != family.grid or omega.grid != family.grid:
         raise DomainError("field, weight and family must share one grid")
@@ -250,91 +246,92 @@ def _check_inputs(f: ScalarField, omega: WeightField, family: RectangleFamily, c
 # fast path: prefix sums over sheared gathers
 
 
+# Working-set budget of the fast kernel, in bytes.  It sizes a chunk of
+# columns (cut indices, sheared gather and its spatial prefix: about
+# 3 * columns * n_sp * n_c * 8) and a block of boxes (bv, one corner slab
+# as large and the 6 * 2n corner-index arrays); one column and one box are
+# the floor.  From bench/run.py runs on all four workloads (CHANGES.md):
+# 1 << 20 .. 1 << 22 ran alike within the host's noise, with peak RSS
+# growing in the budget; 1 << 26 ran 30-50% slower at 2.5-5x the RSS.
+_BLOCK_BYTES = 1 << 21
+
+
 def _box_blocks(
     f: ScalarField,
     omega: WeightField,
     family: RectangleFamily,
     cols: np.ndarray,
     convention: str,
-    expanded_w: np.ndarray | None = None,
-) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+) -> Iterator[tuple[slice, int, np.ndarray, np.ndarray]]:
     """Box stage of the fast path on whole t columns (flat spatial indices
     cols, C order).  One t-prefix gather per (anchor, cell) pair puts every
-    cell's sheared samples on a common axis of n_c = t_len + 2 * max_t_len
-    cuts from c_lo = t_lo - max_t_len + 1, and a spatial prefix turns box
-    sums into corner sums.  Yields (bs, bv, wv) per block of boxes bs.. of
-    _box_tables: bv (m, n_c, nb) is stored cuts-major, bv[k, c, j] being
-    the sum of omega * |f| over box j of anchor k at sheared t < c_lo + c,
-    and wv (m, nb) holds the boxes' weighted volumes.  One byte budget
-    sizes a block: bv, one slab as large (a gathered corner, later the
-    cuts-major copy) and the six int64 corner-index arrays.
+    cell's sheared samples on a common axis of n_c = t_len + 2 * top cuts
+    from c_lo = t_lo - top + 1, top being the family's longest t length,
+    and a spatial prefix turns box sums into corner sums.  Yields
+    (rows, bs, bv, wv) per chunk of columns cols[rows] and block of boxes
+    bs.. of _box_tables: bv (m, n_c, nb) is stored cuts-major, bv[k, c, j]
+    being the sum of omega * |f| over box j of anchor k at sheared t <
+    c_lo + c, and wv (m, nb) holds the boxes' weighted volumes.
+    _BLOCK_BYTES sizes the chunks and the blocks.
     """
     grid = f.grid
     sp, L = 2 * grid.n, grid.t_len
     lo_off, side_ax, _ = _box_tables(family)
     nbox = lo_off.shape[0]
-    cap_t = family.max_t_len
+    top = family.t_len_choices()[-1]
     margins = family.margins()
 
-    coords_sp = _spatial_coords(grid)
+    axes = [np.arange(lo, hi + 1, dtype=np.int64) for lo, hi in grid.extents[:sp]]
+    coords_sp = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, sp)
     n_sp = coords_sp.shape[0]
     omega_flat = omega.spatial_values.reshape(-1)
-
-    # t-prefix of |f| per spatial cell, zero-padded in front
-    absf = np.abs(f.values).reshape(n_sp, L)
-    cf = np.concatenate([np.zeros((n_sp, 1)), np.cumsum(absf, axis=1)], axis=1)
-
-    # denominator prefix over the extended weight window
-    w_exp = omega.expanded_spatial(margins) if expanded_w is None else expanded_w
-    pw = w_exp
-    for ax in range(sp):
-        pw = np.cumsum(pw, axis=ax)
-    pw = np.pad(pw, [(1, 0)] * sp)
-
-    anchors = coords_sp[cols]
-    m = anchors.shape[0]
-    shear = _shear(grid.mu, anchors, coords_sp, convention)
+    # t-prefix of |f| per spatial cell; weight prefix over the extended window
+    cf = prefix_sums(np.abs(f.values).reshape(n_sp, L), [1])
+    pw = prefix_sums(omega.expanded_spatial(margins), range(sp))
 
     # cut values c with t-prefix index clip(c + shear - t_lo, 0, L)
-    c_lo = grid.t_lo - cap_t + 1
-    n_c = L + 2 * cap_t
+    c_lo = grid.t_lo - top + 1
+    n_c = L + 2 * top
     cvals = np.arange(c_lo, c_lo + n_c, dtype=np.int64)
-    idx = np.clip(cvals[None, None, :] + (shear - grid.t_lo)[:, :, None], 0, L)
-    cw = cf[np.arange(n_sp)[None, :, None], idx] * omega_flat[None, :, None]
-
-    p = cw.reshape(m, *grid.spatial_shape, n_c)
-    for ax in range(1, sp + 1):
-        p = np.cumsum(p, axis=ax)
-    p = np.pad(p, [(0, 0)] + [(1, 0)] * sp + [(0, 0)])
-
     widths = np.asarray(grid.spatial_shape, dtype=np.int64)
-    anchor_idx = anchors - np.asarray(grid.lows[:sp], dtype=np.int64)[None, :]
-    rows = np.arange(m)[:, None]
-    p_rows = p.reshape(-1, n_c)
-    box_block = max(1, (1 << 27) // (m * (2 * n_c + 6 * sp) * 8))
-    for bs in range(0, nbox, box_block):
-        be = min(bs + box_block, nbox)
-        blo = anchor_idx[:, None, :] + lo_off[None, bs:be, :]
-        bhi = blo + side_ax[None, bs:be, :]
-        # numerator corners, clipped to the extents (f vanishes outside)
-        nlo = np.clip(blo, 0, widths)
-        nhi = np.clip(bhi, 0, widths)
-        # denominator corners in the extended window (never clipped)
-        wlo = blo + margins
-        whi = bhi + margins
-        bv = np.zeros((m, be - bs, n_c))
-        wv = np.zeros((m, be - bs))
-        for bits in itertools.product((0, 1), repeat=sp):
-            nidx = (rows,) + tuple((nhi if b else nlo)[:, :, ax] for ax, b in enumerate(bits))
-            widx = tuple((whi if b else wlo)[:, :, ax] for ax, b in enumerate(bits))
-            # one gathered corner slab at a time, added or subtracted in place
-            op = np.subtract if (sp - sum(bits)) % 2 else np.add
-            op(bv, p_rows.take(np.ravel_multi_index(nidx, p.shape[:-1]), axis=0), out=bv)
-            op(wv, pw.take(np.ravel_multi_index(widx, pw.shape)), out=wv)
-        bv = np.ascontiguousarray(bv.transpose(0, 2, 1))
-        if not np.all(wv > 0):
-            raise InvariantViolation("weighted volume must be positive on every box")
-        yield bs, bv, wv
+    chunk = max(1, _BLOCK_BYTES // (3 * n_sp * n_c * 8))
+    for start in range(0, len(cols), chunk):
+        rows = slice(start, min(start + chunk, len(cols)))
+        anchors = coords_sp[cols[rows]]
+        m = anchors.shape[0]
+        shear = _shear(grid.mu, anchors, coords_sp, convention)
+        idx = np.clip(cvals[None, None, :] + (shear - grid.t_lo)[:, :, None], 0, L)
+        cw = cf[np.arange(n_sp)[None, :, None], idx] * omega_flat[None, :, None]
+        p = prefix_sums(cw.reshape(m, *grid.spatial_shape, n_c), range(1, sp + 1))
+        del idx, cw
+        p_rows = p.reshape(-1, n_c)
+        anchor_idx = anchors - np.asarray(grid.lows[:sp], dtype=np.int64)[None, :]
+        box_rows = np.arange(m)[:, None]
+        box_block = max(1, _BLOCK_BYTES // (m * (2 * n_c + 6 * sp) * 8))
+        for bs in range(0, nbox, box_block):
+            be = min(bs + box_block, nbox)
+            blo = anchor_idx[:, None, :] + lo_off[None, bs:be, :]
+            bhi = blo + side_ax[None, bs:be, :]
+            # numerator corners, clipped to the extents (f vanishes outside)
+            nlo = np.clip(blo, 0, widths)
+            nhi = np.clip(bhi, 0, widths)
+            # denominator corners in the extended window (never clipped)
+            wlo = blo + margins
+            whi = bhi + margins
+            bv = np.zeros((m, be - bs, n_c))
+            wv = np.zeros((m, be - bs))
+            for bits in itertools.product((0, 1), repeat=sp):
+                nidx = (box_rows,) + tuple((nhi if b else nlo)[:, :, ax] for ax, b in enumerate(bits))
+                widx = tuple((whi if b else wlo)[:, :, ax] for ax, b in enumerate(bits))
+                # one gathered corner slab at a time, added or subtracted in place
+                op = np.subtract if (sp - sum(bits)) % 2 else np.add
+                op(bv, p_rows.take(np.ravel_multi_index(nidx, p.shape[:-1]), axis=0), out=bv)
+                op(wv, pw.take(np.ravel_multi_index(widx, pw.shape)), out=wv)
+            bv = np.ascontiguousarray(bv.transpose(0, 2, 1))
+            if not np.all(wv > 0):
+                raise InvariantViolation("weighted volume must be positive on every box")
+            yield rows, bs, bv, wv
+            del bv  # with the caller's del, freed before the next block is built
 
 
 def _column_values(
@@ -343,31 +340,37 @@ def _column_values(
     family: RectangleFamily,
     cols: np.ndarray,
     convention: str,
-    expanded_w: np.ndarray | None = None,
 ) -> np.ndarray:
     """Twisted maximal values on whole t columns, shape (len(cols), t_len).
 
     Interval stage over _box_blocks: with bv cuts-major, the numerators of
     the cnt = t_len + L - 1 intervals of t length L (starts t_lo - L + 1
     .. t_hi) are one contiguous slice difference bv[:, s + L : s + L + cnt]
-    - bv[:, s : s + cnt], s = max_t_len - L, divided by wv * L; the maximum
-    over boxes runs along the contiguous axis, and the maximum at each t
-    over the L intervals through it is a width-L sliding-window maximum.
+    - bv[:, s : s + cnt], s = top - L, divided by wv * L; the maximum over
+    boxes runs along the contiguous axis, and the maximum at each t over
+    the L intervals through it is a width-L sliding-window maximum.
     Exactness: each average is one prefix difference over one product
     wv * L, each prefix entry comes from the same gather, cumsums and
     corner additions in a fixed order whatever the chunk, block or layout,
     and maxima are exact; so argmax_rectangle, running both stages on one
-    column, reads bitwise the value stored here.
+    column, reads bitwise the value stored here.  The output is exact, and
+    bitwise maximal_field_reference, while every prefix partial sum (of
+    omega * |f|, and of omega) is an integer multiple of the data's dyadic
+    grain g below 2^53 * g.  Past that, prefix differences cancel: each
+    carries an error of about |C| * eps for the prefix C it is taken from,
+    so a small average next to a large spike loses its relative accuracy.
     """
     grid = f.grid
     swv = np.lib.stride_tricks.sliding_window_view
+    top = family.t_len_choices()[-1]
     out = np.zeros((len(cols), grid.t_len))
-    for _, bv, wv in _box_blocks(f, omega, family, cols, convention, expanded_w):
+    for rows, _, bv, wv in _box_blocks(f, omega, family, cols, convention):
+        best_rows = out[rows]
         for Lt in family.t_len_choices():
             cnt = grid.t_len + Lt - 1
-            best = _averages(bv, wv, family.max_t_len - Lt, Lt, cnt).max(axis=2)
-            np.maximum(out, swv(best, Lt, axis=1).max(axis=2), out=out)
-        del bv  # freed before the next block is built
+            best = _averages(bv, wv, top - Lt, Lt, cnt).max(axis=2)
+            np.maximum(best_rows, swv(best, Lt, axis=1).max(axis=2), out=best_rows)
+        del bv
     return out
 
 
@@ -384,23 +387,22 @@ def maximal_field(
     omega: WeightField,
     family: RectangleFamily,
     convention: str = SHIFT_STANDARD,
-    column_chunk: int = 0,
 ) -> MaximalField:
     """Twisted weighted maximal field on the whole grid (fast path)."""
     _check_inputs(f, omega, family, convention)
     grid = f.grid
-    n_sp = int(np.prod(grid.spatial_shape))
-    L = grid.t_len
-    n_c = L + 2 * family.max_t_len
-    if column_chunk <= 0:
-        # small chunks keep the gather working set cache-resident
-        column_chunk = max(16, int((1 << 23) // max(1, n_sp * n_c * 8)))
-    w_exp = omega.expanded_spatial(family.margins())
-    out = np.empty((n_sp, L))
-    for start in range(0, n_sp, column_chunk):
-        cols = np.arange(start, min(start + column_chunk, n_sp))
-        out[cols] = _column_values(f, omega, family, cols, convention, expanded_w=w_exp)
+    cols = np.arange(int(np.prod(grid.spatial_shape)))
+    out = _column_values(f, omega, family, cols, convention)
     return MaximalField(grid, out.reshape(grid.shape), family.describe(), omega.descriptor, convention)
+
+
+def _point_column(x, grid: GridSpec) -> tuple[tuple[int, ...], int]:
+    """Coordinates of the grid point x and the flat index of its t column."""
+    coords = _as_point_coords(x, grid)
+    if not grid.contains(coords):
+        raise DomainError(f"point {coords} outside extents {grid.extents}")
+    col = np.ravel_multi_index(np.subtract(coords, grid.lows)[: 2 * grid.n], grid.spatial_shape)
+    return coords, int(col)
 
 
 def maximal_twisted_form(
@@ -412,13 +414,9 @@ def maximal_twisted_form(
 ) -> float:
     """Twisted weighted maximal average at one grid point."""
     _check_inputs(f, omega, family, convention)
-    grid = f.grid
-    coords = _as_point_coords(x, grid)
-    if not grid.contains(coords):
-        raise DomainError(f"point {coords} outside extents {grid.extents}")
-    col = np.ravel_multi_index(np.subtract(coords, grid.lows)[: 2 * grid.n], grid.spatial_shape)
+    coords, col = _point_column(x, f.grid)
     vals = _column_values(f, omega, family, np.asarray([col]), convention)
-    return float(vals[0, coords[-1] - grid.t_lo])
+    return float(vals[0, coords[-1] - f.grid.t_lo])
 
 
 # ---------------------------------------------------------------------------
@@ -621,17 +619,15 @@ def argmax_rectangle(
     """
     _check_inputs(f, omega, family, convention)
     grid = f.grid
-    coords = _as_point_coords(x, grid)
-    if not grid.contains(coords):
-        raise DomainError(f"point {coords} outside extents {grid.extents}")
+    coords, col = _point_column(x, grid)
     sp, t = 2 * grid.n, coords[-1]
     lo_off, side_ax, _ = _box_tables(family)
-    col = np.ravel_multi_index(np.subtract(coords, grid.lows)[:sp], grid.spatial_shape)
+    cut = family.t_len_choices()[-1] + t - grid.t_lo
     top, ties = -np.inf, []
-    for bs, bv, wv in _box_blocks(f, omega, family, np.asarray([col]), convention):
+    for _, bs, bv, wv in _box_blocks(f, omega, family, np.asarray([col]), convention):
         for Lt in family.t_len_choices():
             # the Lt intervals through t start at t - Lt + 1 .. t
-            vals = _averages(bv, wv, family.max_t_len - Lt + (t - grid.t_lo), Lt, Lt)[0]
+            vals = _averages(bv, wv, cut - Lt, Lt, Lt)[0]
             best = vals.max()
             if best > top:
                 top, ties = best, []

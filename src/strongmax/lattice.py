@@ -14,7 +14,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -35,6 +35,7 @@ __all__ = [
     "grid_to_config",
     "lebesgue_volume",
     "load_grid_config",
+    "prefix_sums",
     "random_rectangle",
     "weighted_volume",
 ]
@@ -365,11 +366,20 @@ class ScalarField:
         return np.where(inside, out, 0.0)
 
 
+def prefix_sums(values: np.ndarray, axes: Iterable[int]) -> np.ndarray:
+    """Cumulative sums along each of axes, then one zero in front on each
+    of them: entry i along such an axis sums the first i values."""
+    axes = tuple(axes)
+    p = np.asarray(values, dtype=np.float64)
+    for ax in axes:
+        p = np.cumsum(p, axis=ax)
+    return np.pad(p, [(int(ax in axes), 0) for ax in range(p.ndim)])
+
+
 class PrefixTable:
     """Zero-padded cumulative sums for O(2^d) box sums over the extents.
 
-    full          cumulative over every axis, shape = grid shape + 1 per axis.
-    t_cumulative  cumulative along t only, shape = spatial shape + (t_len+1,).
+    full  cumulative over every axis, shape = grid shape + 1 per axis.
     """
 
     def __init__(self, grid: GridSpec, values: np.ndarray):
@@ -377,12 +387,7 @@ class PrefixTable:
         if values.shape != grid.shape:
             raise DomainError(f"value shape {values.shape} != grid shape {grid.shape}")
         self.grid = grid
-        full = values
-        for ax in range(grid.d):
-            full = np.cumsum(full, axis=ax)
-        self.full = np.pad(full, [(1, 0)] * grid.d)
-        tc = np.cumsum(values, axis=grid.d - 1)
-        self.t_cumulative = np.pad(tc, [(0, 0)] * (grid.d - 1) + [(1, 0)])
+        self.full = prefix_sums(values, range(grid.d))
 
     @classmethod
     def of_field(cls, f: ScalarField) -> "PrefixTable":

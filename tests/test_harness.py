@@ -293,6 +293,14 @@ def test_worker_count_env(monkeypatch):
     assert worker_count() == 1
 
 
+def test_run_experiment_rows_do_not_depend_on_workers(monkeypatch):
+    cfg = ExperimentConfig(n=1, grid_sizes=(4, 6), trials=3, dyadic=True, seed=5)
+    monkeypatch.setenv("STRONGMAX_WORKERS", "1")
+    serial = run_experiment(cfg).rows
+    monkeypatch.setenv("STRONGMAX_WORKERS", "2")
+    assert run_experiment(cfg).rows == serial
+
+
 def test_dyadic_run_is_dominated_by_full():
     rng = np.random.default_rng(44)
     g = _grid(6)

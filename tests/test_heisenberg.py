@@ -45,6 +45,7 @@ from strongmax import (
     write_field_binary,
     write_field_csv,
 )
+from strongmax import heisenberg
 from strongmax.heisenberg import maximal_field_reference
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -225,15 +226,36 @@ def test_fast_equals_reference_two_block_grid():
     )
 
 
-def test_fast_path_chunking_is_inert():
-    rng = np.random.default_rng(31)
-    g = GridSpec.cube(1, 5, mu=1)
-    fam = RectangleFamily(g)
-    f = _int_field(g, rng)
-    w = make_power_weight(g, (1.0, 1.0))
-    whole = maximal_field(f, w, fam, column_chunk=10**6).values
-    tiny = maximal_field(f, w, fam, column_chunk=1).values
-    np.testing.assert_array_equal(whole, tiny)
+def test_fast_path_chunking_is_inert(monkeypatch):
+    cases = [
+        (GridSpec.cube(1, 5, mu=1), {}),
+        # dyadic t lengths 1, 2, 4 on a t extent of 6: cuts sized from 4, not 6
+        (GridSpec(n=1, extents=((0, 3), (0, 3), (0, 5)), mu=1), {"dyadic_only": True}),
+        (
+            GridSpec(n=2, extents=((-2, 0), (-1, 1), (-2, 0), (-1, 1), (-3, -1)), factors=(2, 2), mu=2),
+            {"max_sides": (2, 3), "max_t_len": 2},
+        ),
+    ]
+    for g, family_kw in cases:
+        rng = np.random.default_rng(31)
+        fam = RectangleFamily(g, **family_kw)
+        f = _int_field(g, rng)
+        w = make_power_weight(g, (1.0,) * (2 * g.n))
+        cols = np.arange(int(np.prod(g.spatial_shape)))
+        nbox = heisenberg._box_tables(fam)[0].shape[0]
+
+        def run(budget):
+            monkeypatch.setattr(heisenberg, "_BLOCK_BYTES", budget)
+            blocks = heisenberg._box_blocks(f, w, fam, cols, SHIFT_STANDARD)
+            return maximal_field(f, w, fam).values, [bv.shape for _, _, bv, _ in blocks]
+
+        # one block of every column and box, then one column and a few boxes per block
+        whole, shapes = run(1 << 40)
+        assert len(shapes) == 1 and shapes[0][0] == len(cols) and shapes[0][2] == nbox
+        tiny, shapes = run(1 << 10)
+        assert all(s[0] == 1 for s in shapes) and 1 < max(s[2] for s in shapes) < nbox
+        np.testing.assert_array_equal(whole, tiny)
+        np.testing.assert_array_equal(whole, maximal_field_reference(f, w, fam).values)
 
 
 # ---------------------------------------------------------------------------
