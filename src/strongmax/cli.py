@@ -19,7 +19,12 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .covering import covering_experiment, import_rectangles_csv, slice_union_ratios
+from .covering import (
+    covering_experiment,
+    export_rectangles_csv,
+    import_rectangles_csv,
+    slice_union_ratios,
+)
 from .harness import GENERATORS, ExperimentConfig, run_experiment
 from .heisenberg import (
     SHIFT_STANDARD,
@@ -243,8 +248,6 @@ def cmd_cover(args: argparse.Namespace) -> int:
     payload.update(report.to_json_dict())
     _write_json(os.path.join(out_dir, "covering_report.json"), payload)
     sel.write_audit_csv(os.path.join(out_dir, "selection_audit.csv"))
-    from .covering import export_rectangles_csv
-
     export_rectangles_csv(sel.chosen(), os.path.join(out_dir, "chosen_rectangles.csv"), grid)
     if resolved["slices"]:
         _write_json(os.path.join(out_dir, "slice_ratios.json"), slice_union_ratios(sel, w))

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -28,6 +28,7 @@ from .lattice import (
     InvariantViolation,
     RangeError,
     Rectangle,
+    grid_to_config,
     random_rectangle,
 )
 from .weights import WeightField
@@ -188,12 +189,7 @@ def replay_selection(sel: Selection, grid: GridSpec) -> list[str]:
 
 
 def union_mask(rects: Sequence[Rectangle], grid: GridSpec) -> np.ndarray:
-    mask = np.zeros(grid.shape, dtype=bool)
-    for r in rects:
-        if not r.within(grid):
-            raise DomainError(f"rectangle {r.bounds} outside extents {grid.extents}")
-        mask[r.slices(grid)] = True
-    return mask
+    return overlap_counts(rects, grid) > 0
 
 
 def overlap_counts(rects: Sequence[Rectangle], grid: GridSpec) -> np.ndarray:
@@ -248,20 +244,7 @@ class CoveringReport:
     indicator_ratio: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "grid": self.grid,
-            "weight": self.weight,
-            "p": self.p,
-            "cross": self.cross,
-            "seed": self.seed,
-            "count_input": self.count_input,
-            "count_chosen": self.count_chosen,
-            "vol_union_all": self.vol_union_all,
-            "vol_union_chosen": self.vol_union_chosen,
-            "comparability_ratio": self.comparability_ratio,
-            "indicator_norm": self.indicator_norm,
-            "indicator_ratio": self.indicator_ratio,
-        }
+        return asdict(self)
 
     def write_json(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -287,6 +270,8 @@ def covering_experiment(
     if rects is None:
         rng = np.random.default_rng([seed & 0xFFFFFFFF, 0xC0FE])
         rects = [random_rectangle(grid, rng) for _ in range(int(count))]
+    if len(rects) == 0:
+        raise RangeError("covering needs at least one rectangle, got an empty batch")
     ordered = order_for_selection(rects, cross)
     sel = covering_select(ordered, grid, cross)
     chosen = sel.chosen()
@@ -295,8 +280,6 @@ def covering_experiment(
     if not vol_sel > 0:
         raise InvariantViolation("selection kept nothing from a nonempty batch")
     power_sum = indicator_power_sum(chosen, w, p)
-    from .lattice import grid_to_config
-
     report = CoveringReport(
         grid=grid_to_config(grid),
         weight=w.descriptor,
@@ -318,22 +301,15 @@ def slice_union_ratios(sel: Selection, w: WeightField) -> list[dict]:
     """Per-t diagnostic: weighted spatial union of the inputs crossing each
     t level versus that of the chosen rectangles crossing it."""
     grid = sel.grid
-    sp_shape = grid.spatial_shape
     if not w.t_independent:
         raise DomainError("slice diagnostic needs a t-independent weight")
     wsp = w.spatial_values
+    m_all = union_mask(sel.rectangles, grid)
+    m_sel = union_mask(sel.chosen(), grid)
     out = []
-    for t in range(grid.t_lo, grid.t_hi + 1):
-        m_all = np.zeros(sp_shape, dtype=bool)
-        m_sel = np.zeros(sp_shape, dtype=bool)
-        for idx, r in enumerate(sel.rectangles):
-            if r.t_lo <= t <= r.t_hi:
-                sl = r.slices(grid)[:-1]
-                m_all[sl] = True
-                if idx in sel.chosen_indices:
-                    m_sel[sl] = True
-        va = float(wsp[m_all].sum())
-        vs = float(wsp[m_sel].sum())
+    for k, t in enumerate(range(grid.t_lo, grid.t_hi + 1)):
+        va = float(wsp[m_all[..., k]].sum())
+        vs = float(wsp[m_sel[..., k]].sum())
         out.append(
             {
                 "t": t,
@@ -362,13 +338,17 @@ def import_rectangles_csv(path, grid: GridSpec) -> list[Rectangle]:
     want = [f"{nm}_{end}" for nm in names for end in ("lo", "hi")]
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise DomainError(f"{path}: empty rectangle file")
         if header != want:
             raise DomainError(f"unexpected rectangle header {header!r}")
         out = []
         for row in reader:
             if not row:
                 continue
+            if len(row) != len(want):
+                raise DomainError(f"{path}: row {row!r} has {len(row)} fields, want {len(want)}")
             vals = [int(x) for x in row]
             bounds = [(vals[2 * i], vals[2 * i + 1]) for i in range(grid.d)]
             out.append(Rectangle.from_bounds(bounds, grid.factors))

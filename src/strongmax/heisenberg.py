@@ -246,13 +246,12 @@ def _check_inputs(f: ScalarField, omega: WeightField, family: RectangleFamily, c
 # fast path: prefix sums over sheared gathers
 
 
-# Working-set budget of the fast kernel, in bytes.  It sizes a chunk of
-# columns (cut indices, sheared gather and its spatial prefix: about
-# 3 * columns * n_sp * n_c * 8) and a block of boxes (bv, one corner slab
-# as large and the 6 * 2n corner-index arrays); one column and one box are
-# the floor.  From bench/run.py runs on all four workloads (CHANGES.md):
-# 1 << 20 .. 1 << 22 ran alike within the host's noise, with peak RSS
-# growing in the budget; 1 << 26 ran 30-50% slower at 2.5-5x the RSS.
+# Working-set budget of the fast kernel's box block, in bytes: bv, one
+# corner slab as large and the 6 * 2n corner-index arrays of one column's
+# boxes, about nb * (2 * n_c + 6 * 2n) * 8; one box is the floor.  From
+# bench/run.py runs on all four workloads (CHANGES.md): 1 << 20 .. 1 << 22
+# ran alike within the host's noise, with peak RSS growing in the budget;
+# 1 << 26 ran 30-50% slower at 2.5-5x the RSS.
 _BLOCK_BYTES = 1 << 21
 
 
@@ -262,17 +261,16 @@ def _box_blocks(
     family: RectangleFamily,
     cols: np.ndarray,
     convention: str,
-) -> Iterator[tuple[slice, int, np.ndarray, np.ndarray]]:
-    """Box stage of the fast path on whole t columns (flat spatial indices
-    cols, C order).  One t-prefix gather per (anchor, cell) pair puts every
-    cell's sheared samples on a common axis of n_c = t_len + 2 * top cuts
-    from c_lo = t_lo - top + 1, top being the family's longest t length,
-    and a spatial prefix turns box sums into corner sums.  Yields
-    (rows, bs, bv, wv) per chunk of columns cols[rows] and block of boxes
-    bs.. of _box_tables: bv (m, n_c, nb) is stored cuts-major, bv[k, c, j]
-    being the sum of omega * |f| over box j of anchor k at sheared t <
-    c_lo + c, and wv (m, nb) holds the boxes' weighted volumes.
-    _BLOCK_BYTES sizes the chunks and the blocks.
+) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
+    """Box stage of the fast path, one anchor column at a time (flat
+    spatial indices cols, C order).  For anchor cols[k], one t-prefix
+    gather per cell puts every cell's sheared samples on a common axis of
+    n_c = t_len + 2 * top cuts from c_lo = t_lo - top + 1, top being the
+    family's longest t length, and a spatial prefix turns box sums into
+    corner sums.  Yields (k, bs, bv, wv) per block of boxes bs.. of
+    _box_tables: bv (n_c, nb) is stored cuts-major, bv[c, j] being the sum
+    of omega * |f| over box j of the anchor at sheared t < c_lo + c, and wv
+    (nb,) holds the boxes' weighted volumes.  _BLOCK_BYTES sizes the blocks.
     """
     grid = f.grid
     sp, L = 2 * grid.n, grid.t_len
@@ -294,43 +292,38 @@ def _box_blocks(
     n_c = L + 2 * top
     cvals = np.arange(c_lo, c_lo + n_c, dtype=np.int64)
     widths = np.asarray(grid.spatial_shape, dtype=np.int64)
-    chunk = max(1, _BLOCK_BYTES // (3 * n_sp * n_c * 8))
-    for start in range(0, len(cols), chunk):
-        rows = slice(start, min(start + chunk, len(cols)))
-        anchors = coords_sp[cols[rows]]
-        m = anchors.shape[0]
-        shear = _shear(grid.mu, anchors, coords_sp, convention)
-        idx = np.clip(cvals[None, None, :] + (shear - grid.t_lo)[:, :, None], 0, L)
-        cw = cf[np.arange(n_sp)[None, :, None], idx] * omega_flat[None, :, None]
-        p = prefix_sums(cw.reshape(m, *grid.spatial_shape, n_c), range(1, sp + 1))
+    lows = np.asarray(grid.lows[:sp], dtype=np.int64)
+    box_block = max(1, _BLOCK_BYTES // ((2 * n_c + 6 * sp) * 8))
+    for k, col in enumerate(cols):
+        anchor = coords_sp[col]
+        shear = _shear(grid.mu, anchor[None, :], coords_sp, convention)[0]
+        idx = np.clip(cvals[None, :] + (shear - grid.t_lo)[:, None], 0, L)
+        cw = cf[np.arange(n_sp)[:, None], idx] * omega_flat[:, None]
+        p = prefix_sums(cw.reshape(*grid.spatial_shape, n_c), range(sp))
         del idx, cw
         p_rows = p.reshape(-1, n_c)
-        anchor_idx = anchors - np.asarray(grid.lows[:sp], dtype=np.int64)[None, :]
-        box_rows = np.arange(m)[:, None]
-        box_block = max(1, _BLOCK_BYTES // (m * (2 * n_c + 6 * sp) * 8))
         for bs in range(0, nbox, box_block):
-            be = min(bs + box_block, nbox)
-            blo = anchor_idx[:, None, :] + lo_off[None, bs:be, :]
-            bhi = blo + side_ax[None, bs:be, :]
+            blo = anchor - lows + lo_off[bs : bs + box_block]
+            bhi = blo + side_ax[bs : bs + box_block]
             # numerator corners, clipped to the extents (f vanishes outside)
             nlo = np.clip(blo, 0, widths)
             nhi = np.clip(bhi, 0, widths)
             # denominator corners in the extended window (never clipped)
             wlo = blo + margins
             whi = bhi + margins
-            bv = np.zeros((m, be - bs, n_c))
-            wv = np.zeros((m, be - bs))
+            bv = np.zeros((blo.shape[0], n_c))
+            wv = np.zeros(blo.shape[0])
             for bits in itertools.product((0, 1), repeat=sp):
-                nidx = (box_rows,) + tuple((nhi if b else nlo)[:, :, ax] for ax, b in enumerate(bits))
-                widx = tuple((whi if b else wlo)[:, :, ax] for ax, b in enumerate(bits))
+                nidx = tuple((nhi if b else nlo)[:, ax] for ax, b in enumerate(bits))
+                widx = tuple((whi if b else wlo)[:, ax] for ax, b in enumerate(bits))
                 # one gathered corner slab at a time, added or subtracted in place
                 op = np.subtract if (sp - sum(bits)) % 2 else np.add
                 op(bv, p_rows.take(np.ravel_multi_index(nidx, p.shape[:-1]), axis=0), out=bv)
                 op(wv, pw.take(np.ravel_multi_index(widx, pw.shape)), out=wv)
-            bv = np.ascontiguousarray(bv.transpose(0, 2, 1))
+            bv = np.ascontiguousarray(bv.T)
             if not np.all(wv > 0):
                 raise InvariantViolation("weighted volume must be positive on every box")
-            yield rows, bs, bv, wv
+            yield k, bs, bv, wv
             del bv  # with the caller's del, freed before the next block is built
 
 
@@ -343,16 +336,17 @@ def _column_values(
 ) -> np.ndarray:
     """Twisted maximal values on whole t columns, shape (len(cols), t_len).
 
-    Interval stage over _box_blocks: with bv cuts-major, the numerators of
-    the cnt = t_len + L - 1 intervals of t length L (starts t_lo - L + 1
-    .. t_hi) are one contiguous slice difference bv[:, s + L : s + L + cnt]
-    - bv[:, s : s + cnt], s = top - L, divided by wv * L; the maximum over
-    boxes runs along the contiguous axis, and the maximum at each t over
-    the L intervals through it is a width-L sliding-window maximum.
+    Interval stage over _box_blocks, into out[k] for anchor cols[k]: with
+    bv cuts-major, the numerators of the cnt = t_len + L - 1 intervals of
+    t length L (starts t_lo - L + 1 .. t_hi) are one contiguous slice
+    difference bv[s + L : s + L + cnt] - bv[s : s + cnt], s = top - L,
+    divided by wv * L; the maximum over boxes runs along the contiguous
+    axis, and the maximum at each t over the L intervals through it is a
+    width-L sliding-window maximum.
     Exactness: each average is one prefix difference over one product
     wv * L, each prefix entry comes from the same gather, cumsums and
-    corner additions in a fixed order whatever the chunk, block or layout,
-    and maxima are exact; so argmax_rectangle, running both stages on one
+    corner additions in a fixed order whatever the block or layout, and
+    maxima are exact; so argmax_rectangle, running both stages on one
     column, reads bitwise the value stored here.  The output is exact, and
     bitwise maximal_field_reference, while every prefix partial sum (of
     omega * |f|, and of omega) is an integer multiple of the data's dyadic
@@ -364,21 +358,20 @@ def _column_values(
     swv = np.lib.stride_tricks.sliding_window_view
     top = family.t_len_choices()[-1]
     out = np.zeros((len(cols), grid.t_len))
-    for rows, _, bv, wv in _box_blocks(f, omega, family, cols, convention):
-        best_rows = out[rows]
+    for k, _, bv, wv in _box_blocks(f, omega, family, cols, convention):
         for Lt in family.t_len_choices():
             cnt = grid.t_len + Lt - 1
-            best = _averages(bv, wv, top - Lt, Lt, cnt).max(axis=2)
-            np.maximum(best_rows, swv(best, Lt, axis=1).max(axis=2), out=best_rows)
+            best = _averages(bv, wv, top - Lt, Lt, cnt).max(axis=1)
+            np.maximum(out[k], swv(best, Lt).max(axis=1), out=out[k])
         del bv
     return out
 
 
 def _averages(bv: np.ndarray, wv: np.ndarray, lo: int, Lt: int, cnt: int) -> np.ndarray:
     """Averages over the cnt intervals of t length Lt whose lower cuts are
-    lo .. lo + cnt - 1, shape (m, cnt, nb)."""
-    num = bv[:, lo + Lt : lo + Lt + cnt] - bv[:, lo : lo + cnt]
-    num /= (wv * Lt)[:, None, :]
+    lo .. lo + cnt - 1, shape (cnt, nb)."""
+    num = bv[lo + Lt : lo + Lt + cnt] - bv[lo : lo + cnt]
+    num /= wv * Lt
     return num
 
 
@@ -627,7 +620,7 @@ def argmax_rectangle(
     for _, bs, bv, wv in _box_blocks(f, omega, family, np.asarray([col]), convention):
         for Lt in family.t_len_choices():
             # the Lt intervals through t start at t - Lt + 1 .. t
-            vals = _averages(bv, wv, cut - Lt, Lt, Lt)[0]
+            vals = _averages(bv, wv, cut - Lt, Lt, Lt)
             best = vals.max()
             if best > top:
                 top, ties = best, []
@@ -666,7 +659,9 @@ def read_field_csv(path, mu: int = 1, factors: Sequence[int] = ()) -> ScalarFiel
     every cell must appear exactly once."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise DomainError(f"{path}: empty field file")
         if len(header) < 4 or header[-1] != "value" or header[-2] != "t":
             raise DomainError(f"unrecognised field header {header!r}")
         d = len(header) - 1
@@ -679,6 +674,8 @@ def read_field_csv(path, mu: int = 1, factors: Sequence[int] = ()) -> ScalarFiel
         rows = [(tuple(int(c) for c in row[:-1]), float(row[-1])) for row in reader if row]
     if not rows:
         raise DomainError("no data rows")
+    if any(len(c) != d for c, _ in rows):
+        raise DomainError(f"{path}: every row needs {d + 1} fields")
     coords = np.asarray([c for c, _ in rows], dtype=np.int64)
     extents = tuple((int(coords[:, ax].min()), int(coords[:, ax].max())) for ax in range(d))
     grid = GridSpec(n=n, extents=extents, factors=tuple(factors), mu=mu)
@@ -712,13 +709,15 @@ def read_field_binary(path, mu: int = 1, factors: Sequence[int] = ()) -> ScalarF
     with open(path, "rb") as fh:
         if fh.read(4) != _BIN_MAGIC:
             raise DomainError(f"{path}: not a field file")
-        (d,) = struct.unpack("<q", fh.read(8))
-        if d < 3 or d % 2 == 0:
-            raise DomainError(f"bad dimension {d}")
-        extents = tuple(struct.unpack("<qq", fh.read(16)) for _ in range(d))
+        try:
+            (d,) = struct.unpack("<q", fh.read(8))
+            if d < 3 or d % 2 == 0:
+                raise DomainError(f"bad dimension {d}")
+            extents = tuple(struct.unpack("<qq", fh.read(16)) for _ in range(d))
+        except struct.error as exc:
+            raise DomainError(f"{path}: truncated field header") from exc
         grid = GridSpec(n=(d - 1) // 2, extents=extents, factors=tuple(factors), mu=mu)
         payload = fh.read()
-    vals = np.frombuffer(payload, dtype="<f8")
-    if vals.size != grid.cell_count:
-        raise DomainError(f"payload holds {vals.size} cells, extents need {grid.cell_count}")
-    return ScalarField(grid, vals.reshape(grid.shape))
+    if len(payload) != 8 * grid.cell_count:
+        raise DomainError(f"{path}: payload holds {len(payload)} bytes, extents need {8 * grid.cell_count}")
+    return ScalarField(grid, np.frombuffer(payload, dtype="<f8").reshape(grid.shape))

@@ -14,6 +14,7 @@ from strongmax import (
     maximal_field,
     read_field_binary,
     read_field_csv,
+    write_field_binary,
 )
 from strongmax.cli import main
 from strongmax.harness import GENERATORS
@@ -51,6 +52,29 @@ def test_unknown_config_key_exits_2(tmp_path):
 
 def test_missing_input_file_exits_2(tmp_path):
     assert main(["maximal", "--input", str(tmp_path / "nope.csv"), "--out", str(tmp_path)]) == 2
+
+
+def _assert_input_error(capsys, argv, path):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(path) in err
+
+
+@pytest.mark.parametrize("keep", [4, 10, 30, -3])
+def test_truncated_binary_input_exits_2(tmp_path, capsys, keep):
+    # cut inside the dimension, inside the extents, and inside the payload
+    full = tmp_path / "full.bin"
+    write_field_binary(ScalarField.point_mass(GridSpec.cube(1, 3), (1, 1, 1)), full)
+    path = tmp_path / "cut.bin"
+    path.write_bytes(full.read_bytes()[:keep])
+    _assert_input_error(capsys, ["maximal", "--input", str(path), "--out", str(tmp_path)], path)
+
+
+@pytest.mark.parametrize("text", ["", "u1,v1,t,value\n0,0,1\n"])
+def test_malformed_csv_input_exits_2(tmp_path, capsys, text):
+    path = tmp_path / "field.csv"
+    path.write_text(text)
+    _assert_input_error(capsys, ["maximal", "--input", str(path), "--out", str(tmp_path)], path)
 
 
 def test_degenerate_weight_exits_3(tmp_path):
@@ -192,6 +216,26 @@ def test_cover_rects_file_input(tmp_path):
     assert report["count_input"] == 2
     assert report["count_chosen"] == 2
     assert report["indicator_ratio"] == 1.0
+
+
+def test_empty_rects_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "rects.csv"
+    path.write_text("")
+    _assert_input_error(capsys, ["cover", "--size", "6", "--rects", str(path), "--out", str(tmp_path)], path)
+
+
+def test_short_rects_row_exits_2(tmp_path, capsys):
+    path = tmp_path / "rects.csv"
+    path.write_text("u1_lo,u1_hi,v1_lo,v1_hi,t_lo,t_hi\n0,1,0,1,0,1\n3,4,3,4,3\n")
+    _assert_input_error(capsys, ["cover", "--size", "6", "--rects", str(path), "--out", str(tmp_path)], path)
+
+
+@pytest.mark.parametrize("batch", [["--count", "0"], ["--count", "-3"], ["--rects", "header_only.csv"]])
+def test_empty_cover_batch_exits_2(tmp_path, monkeypatch, capsys, batch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "header_only.csv").write_text("u1_lo,u1_hi,v1_lo,v1_hi,t_lo,t_hi\n")
+    assert main(["cover", "--size", "6", *batch, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_cover_echo_rerun_is_identical(tmp_path):

@@ -303,6 +303,44 @@ def test_slice_union_ratios():
             assert row["ratio"] >= 1.0 - 1e-12
 
 
+def _slice_union_ratios_walk(sel, w):
+    # per-t walk over every rectangle: the oracle for the union-mask slices
+    grid, wsp = sel.grid, w.spatial_values
+    out = []
+    for t in range(grid.t_lo, grid.t_hi + 1):
+        m_all = np.zeros(grid.spatial_shape, dtype=bool)
+        m_sel = np.zeros(grid.spatial_shape, dtype=bool)
+        for idx, r in enumerate(sel.rectangles):
+            if r.t_lo <= t <= r.t_hi:
+                sl = r.slices(grid)[:-1]
+                m_all[sl] = True
+                if idx in sel.chosen_indices:
+                    m_sel[sl] = True
+        va, vs = float(wsp[m_all].sum()), float(wsp[m_sel].sum())
+        out.append({"t": t, "vol_inputs": va, "vol_chosen": vs, "ratio": (va / vs) if vs > 0 else None})
+    return out
+
+
+def test_slice_union_ratios_match_per_t_walk():
+    from strongmax import random_rectangle
+
+    grids = [
+        _grid(9),
+        GridSpec(n=2, extents=((-3, 0), (-2, 1), (-1, 1), (-3, -1), (-4, 1)), factors=(2, 2), mu=2),
+    ]
+    for g in grids:
+        weights = [
+            make_constant_weight(g),
+            make_power_weight(g, (1.0, 0.5) * g.n),
+            make_perturbed_weight(g, make_power_weight(g, (1.0,) * (2 * g.n)), 0.3, 7),
+        ]
+        for seed, w in enumerate(weights):
+            rng = np.random.default_rng(seed + 40)
+            rects = order_for_selection([random_rectangle(g, rng) for _ in range(80)])
+            sel = covering_select(rects, g)
+            assert slice_union_ratios(sel, w) == _slice_union_ratios_walk(sel, w)
+
+
 # ---------------------------------------------------------------------------
 # rectangle files
 

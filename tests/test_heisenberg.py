@@ -249,11 +249,11 @@ def test_fast_path_chunking_is_inert(monkeypatch):
             blocks = heisenberg._box_blocks(f, w, fam, cols, SHIFT_STANDARD)
             return maximal_field(f, w, fam).values, [bv.shape for _, _, bv, _ in blocks]
 
-        # one block of every column and box, then one column and a few boxes per block
+        # one block of every box per column, then a few boxes per block
         whole, shapes = run(1 << 40)
-        assert len(shapes) == 1 and shapes[0][0] == len(cols) and shapes[0][2] == nbox
+        assert len(shapes) == len(cols) and all(s[1] == nbox for s in shapes)
         tiny, shapes = run(1 << 10)
-        assert all(s[0] == 1 for s in shapes) and 1 < max(s[2] for s in shapes) < nbox
+        assert 1 < max(s[1] for s in shapes) < nbox
         np.testing.assert_array_equal(whole, tiny)
         np.testing.assert_array_equal(whole, maximal_field_reference(f, w, fam).values)
 
