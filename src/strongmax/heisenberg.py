@@ -149,16 +149,14 @@ def twisted_shift(
 
 
 def _shear(mu: int, anchors: np.ndarray, cells: np.ndarray, convention: str) -> np.ndarray:
-    """mu * (anchor @ J @ cell) for every pair of spatial rows (u, v) and
-    (xi, eta), shape (len(anchors), len(cells)); the form J gives
-    u.eta - v.xi (standard) or u.xi - v.eta (swapped)."""
+    """mu * (u.eta - v.xi) (standard) or mu * (u.xi - v.eta) (swapped) for
+    every pair of spatial rows (u, v) and (xi, eta), shape (len(anchors),
+    len(cells))."""
     n = anchors.shape[-1] // 2
-    eye, zero = np.eye(n, dtype=np.int64), np.zeros((n, n), dtype=np.int64)
-    if convention == SHIFT_STANDARD:
-        form = np.block([[zero, eye], [-eye, zero]])
-    else:
-        form = np.block([[eye, zero], [zero, -eye]])
-    return mu * (anchors @ form @ cells.T)
+    xi, eta = cells[:, :n], cells[:, n:]
+    if convention == SHIFT_SWAPPED:
+        xi, eta = eta, xi
+    return mu * (anchors[:, :n] @ eta.T - anchors[:, n:] @ xi.T)
 
 
 @dataclass(frozen=True)
@@ -201,36 +199,32 @@ def _as_point_coords(x, grid: GridSpec) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=64)
+def _factor_options(family: RectangleFamily, i: int):
+    """Box options of spatial factor i, by side and then low-corner offset
+    in C order: (off, side, corners), off (n_o, N) in [-side+1, 0] per axis
+    and corners (2^N, n_o, N) the offsets of each option's corners, the
+    all-high corner first as in itertools.product((1, 0), repeat=N)."""
+    N = family.grid.factors[i]
+    opts = [(off, s) for s in family.side_choices(i) for off in itertools.product(range(-s + 1, 1), repeat=N)]
+    off, side = (np.asarray(col, dtype=np.int64) for col in zip(*opts))
+    high = np.asarray(list(itertools.product((1, 0), repeat=N)), dtype=np.int64)
+    return off, side, off + high[:, None, :] * side[:, None]
+
+
+@lru_cache(maxsize=64)
 def _box_tables(family: RectangleFamily):
-    """Anchored spatial boxes of a family as offset arrays.
+    """Anchored spatial boxes of a family as offset arrays, the C-order
+    product of the per-factor options.
 
     Returns (lo_off, side_ax, cells): each box holds the anchor, its low
     corner sits at anchor + lo_off with lo_off in [-side+1, 0] per axis.
     """
-    grid = family.grid
-    per_factor = []
-    for i, N in enumerate(grid.factors):
-        opts = []
-        for s in family.side_choices(i):
-            for off in itertools.product(range(-s + 1, 1), repeat=N):
-                opts.append((off, s))
-        per_factor.append(opts)
-    lo_off, side_ax, cells = [], [], []
-    for combo in itertools.product(*per_factor):
-        offs, sides = [], []
-        c = 1
-        for (off, s), N in zip(combo, grid.factors):
-            offs.extend(off)
-            sides.extend([s] * N)
-            c *= s**N
-        lo_off.append(offs)
-        side_ax.append(sides)
-        cells.append(c)
-    return (
-        np.asarray(lo_off, dtype=np.int64),
-        np.asarray(side_ax, dtype=np.int64),
-        np.asarray(cells, dtype=np.int64),
-    )
+    opts = [_factor_options(family, i) for i in range(len(family.grid.factors))]
+    pick = np.indices([len(side) for _, side, _ in opts]).reshape(len(opts), -1)
+    lo_off = np.concatenate([off[j] for (off, _, _), j in zip(opts, pick)], axis=1)
+    sides = np.stack([side[j] for (_, side, _), j in zip(opts, pick)], axis=1)
+    side_ax = sides[:, list(family.grid.factor_of_axis)]
+    return lo_off, side_ax, np.prod(side_ax, axis=1)
 
 
 def _check_inputs(f: ScalarField, omega: WeightField, family: RectangleFamily, convention=SHIFT_STANDARD) -> None:
@@ -246,13 +240,28 @@ def _check_inputs(f: ScalarField, omega: WeightField, family: RectangleFamily, c
 # fast path: prefix sums over sheared gathers
 
 
-# Working-set budget of the fast kernel's box block, in bytes: bv, one
-# corner slab as large and the 6 * 2n corner-index arrays of one column's
-# boxes, about nb * (2 * n_c + 6 * 2n) * 8; one box is the floor.  From
-# bench/run.py runs on all four workloads (CHANGES.md): 1 << 20 .. 1 << 22
-# ran alike within the host's noise, with peak RSS growing in the budget;
-# 1 << 26 ran 30-50% slower at 2.5-5x the RSS.
+# Working-set budget of the fast kernel's box block, in bytes: its box sums
+# and their cuts-major copy bv, 2 * n_c * 8 per box (the corner slab is as
+# large again); a block is a run of the first factor's options, one at
+# least.  From bench/run.py runs on all four workloads (CHANGES.md): 1 << 20
+# .. 1 << 22 ran alike within the host's noise, with peak RSS growing in
+# the budget; 1 << 26 ran 30-50% slower at 2.5-5x the RSS.
 _BLOCK_BYTES = 1 << 21
+
+
+def _fold(table, axis, pos, dims, out, slab):
+    """Box sums of one spatial factor out of a summed-area table whose axis
+    `axis` holds the factor's N axes merged in C order, sized dims: the 2^N
+    corners pos of the boxes, as in _factor_options, are clipped to the
+    table, gathered along axis and added with sign (-1)^(low axes) into out.
+    """
+    flat = np.ravel_multi_index(np.moveaxis(np.clip(pos, 0, np.subtract(dims, 1)), -1, 0), dims)
+    # indices are in range; mode="clip" keeps take from buffering out
+    np.take(table, flat[0], axis=axis, out=out, mode="clip")
+    for c in range(1, len(flat)):
+        np.take(table, flat[c], axis=axis, out=slab, mode="clip")
+        (np.subtract if bin(c).count("1") % 2 else np.add)(out, slab, out=out)
+    return out
 
 
 def _box_blocks(
@@ -266,16 +275,16 @@ def _box_blocks(
     spatial indices cols, C order).  For anchor cols[k], one t-prefix
     gather per cell puts every cell's sheared samples on a common axis of
     n_c = t_len + 2 * top cuts from c_lo = t_lo - top + 1, top being the
-    family's longest t length, and a spatial prefix turns box sums into
-    corner sums.  Yields (k, bs, bv, wv) per block of boxes bs.. of
-    _box_tables: bv (n_c, nb) is stored cuts-major, bv[c, j] being the sum
-    of omega * |f| over box j of the anchor at sheared t < c_lo + c, and wv
-    (nb,) holds the boxes' weighted volumes.  _BLOCK_BYTES sizes the blocks.
+    family's longest t length.  _fold sums boxes out of that gather's
+    spatial prefix p and the weight prefix pw one factor at a time, last
+    first, and p's first factor one run of its options per block.  Yields
+    (k, bs, bv, wv) per block of boxes bs.. of _box_tables: bv (n_c, nb) is
+    stored cuts-major, bv[c, j] being the sum of omega * |f| over box j of
+    the anchor at sheared t < c_lo + c, and wv (nb,) holds the boxes'
+    weighted volumes; both view per-call buffers the next block refills.
     """
     grid = f.grid
     sp, L = 2 * grid.n, grid.t_len
-    lo_off, side_ax, _ = _box_tables(family)
-    nbox = lo_off.shape[0]
     top = family.t_len_choices()[-1]
     margins = family.margins()
 
@@ -291,40 +300,45 @@ def _box_blocks(
     c_lo = grid.t_lo - top + 1
     n_c = L + 2 * top
     cvals = np.arange(c_lo, c_lo + n_c, dtype=np.int64)
-    widths = np.asarray(grid.spatial_shape, dtype=np.int64)
     lows = np.asarray(grid.lows[:sp], dtype=np.int64)
-    box_block = max(1, _BLOCK_BYTES // ((2 * n_c + 6 * sp) * 8))
+    # p spans the extents (f vanishes outside), pw the extended window, so
+    # only p's corners are ever clipped
+    p_dims, w_dims = np.add(grid.spatial_shape, 1), np.asarray(pw.shape)
+    axs = [list(grid.factor_axes(i)) for i in range(len(grid.factors))]
+    corners = [_factor_options(family, i)[2] for i in range(len(axs))]
+    n_o = [c.shape[1] for c in corners]
+    inner = int(np.prod(n_o[1:]))
+    run = min(n_o[0], max(1, _BLOCK_BYTES // (2 * n_c * 8 * inner)))
+    p_merged = [int(np.prod(p_dims[ax])) for ax in axs] + [n_c]
+    w_merged = [int(np.prod(w_dims[ax])) for ax in axs]
+    # per factor a fold result and a corner slab of p and of pw, and one
+    # cuts-major block, allocated once per call
+    p_bufs = [np.empty((2, *p_merged[:i], n_o[i] if i else run, *n_o[i + 1 :], n_c)) for i in range(len(axs))]
+    w_bufs = [np.empty((2, *w_merged[:i], *n_o[i:])) for i in range(len(axs))]
+    cm = np.empty(p_bufs[0][0].size)
     for k, col in enumerate(cols):
         anchor = coords_sp[col]
         shear = _shear(grid.mu, anchor[None, :], coords_sp, convention)[0]
         idx = np.clip(cvals[None, :] + (shear - grid.t_lo)[:, None], 0, L)
         cw = cf[np.arange(n_sp)[:, None], idx] * omega_flat[:, None]
-        p = prefix_sums(cw.reshape(*grid.spatial_shape, n_c), range(sp))
+        # p outlives its column: freeing every per-column array at once lets
+        # the C allocator hand back the heap top, which the next column
+        # faults in again (166k minor faults per n=1 size-24 dyadic call)
+        p = prefix_sums(cw.reshape(*grid.spatial_shape, n_c), range(sp)).reshape(p_merged)
         del idx, cw
-        p_rows = p.reshape(-1, n_c)
-        for bs in range(0, nbox, box_block):
-            blo = anchor - lows + lo_off[bs : bs + box_block]
-            bhi = blo + side_ax[bs : bs + box_block]
-            # numerator corners, clipped to the extents (f vanishes outside)
-            nlo = np.clip(blo, 0, widths)
-            nhi = np.clip(bhi, 0, widths)
-            # denominator corners in the extended window (never clipped)
-            wlo = blo + margins
-            whi = bhi + margins
-            bv = np.zeros((blo.shape[0], n_c))
-            wv = np.zeros(blo.shape[0])
-            for bits in itertools.product((0, 1), repeat=sp):
-                nidx = tuple((nhi if b else nlo)[:, ax] for ax, b in enumerate(bits))
-                widx = tuple((whi if b else wlo)[:, ax] for ax, b in enumerate(bits))
-                # one gathered corner slab at a time, added or subtracted in place
-                op = np.subtract if (sp - sum(bits)) % 2 else np.add
-                op(bv, p_rows.take(np.ravel_multi_index(nidx, p.shape[:-1]), axis=0), out=bv)
-                op(wv, pw.take(np.ravel_multi_index(widx, pw.shape)), out=wv)
-            bv = np.ascontiguousarray(bv.T)
-            if not np.all(wv > 0):
-                raise InvariantViolation("weighted volume must be positive on every box")
-            yield k, bs, bv, wv
-            del bv  # with the caller's del, freed before the next block is built
+        base, sums, wv = anchor - lows, p, pw.reshape(w_merged)
+        for i in reversed(range(len(axs))):
+            wv = _fold(wv, i, corners[i] + (base + margins)[axs[i]], w_dims[axs[i]], *w_bufs[i])
+            if i:
+                sums = _fold(sums, i, corners[i] + base[axs[i]], p_dims[axs[i]], *p_bufs[i])
+        if not np.all(wv > 0):
+            raise InvariantViolation("weighted volume must be positive on every box")
+        for o in range(0, n_o[0], run):
+            pos = corners[0][:, o : o + run] + base[axs[0]]
+            box_sums = _fold(sums, 0, pos, p_dims[axs[0]], *p_bufs[0][:, : pos.shape[1]])
+            bv = cm[: box_sums.size].reshape(n_c, -1)
+            np.copyto(bv, box_sums.reshape(-1, n_c).T)
+            yield k, o * inner, bv, wv[o : o + run].reshape(-1)
 
 
 def _column_values(
@@ -342,28 +356,27 @@ def _column_values(
     difference bv[s + L : s + L + cnt] - bv[s : s + cnt], s = top - L,
     divided by wv * L; the maximum over boxes runs along the contiguous
     axis, and the maximum at each t over the L intervals through it is a
-    width-L sliding-window maximum.
+    width-L window maximum, read through one index table per t length.
     Exactness: each average is one prefix difference over one product
     wv * L, each prefix entry comes from the same gather, cumsums and
-    corner additions in a fixed order whatever the block or layout, and
-    maxima are exact; so argmax_rectangle, running both stages on one
-    column, reads bitwise the value stored here.  The output is exact, and
-    bitwise maximal_field_reference, while every prefix partial sum (of
+    per-factor folds in a fixed order whatever the block, and maxima are
+    exact; so argmax_rectangle, running both stages on one column, reads
+    bitwise the value stored here.  The output is exact, and bitwise
+    maximal_field_reference, while every prefix partial sum (of
     omega * |f|, and of omega) is an integer multiple of the data's dyadic
     grain g below 2^53 * g.  Past that, prefix differences cancel: each
     carries an error of about |C| * eps for the prefix C it is taken from,
     so a small average next to a large spike loses its relative accuracy.
     """
     grid = f.grid
-    swv = np.lib.stride_tricks.sliding_window_view
     top = family.t_len_choices()[-1]
+    wins = {Lt: np.arange(grid.t_len)[:, None] + np.arange(Lt) for Lt in family.t_len_choices()}
     out = np.zeros((len(cols), grid.t_len))
     for k, _, bv, wv in _box_blocks(f, omega, family, cols, convention):
-        for Lt in family.t_len_choices():
+        for Lt, win in wins.items():
             cnt = grid.t_len + Lt - 1
             best = _averages(bv, wv, top - Lt, Lt, cnt).max(axis=1)
-            np.maximum(out[k], swv(best, Lt).max(axis=1), out=out[k])
-        del bv
+            np.maximum(out[k], best[win].max(axis=1), out=out[k])
     return out
 
 

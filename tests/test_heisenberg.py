@@ -210,6 +210,49 @@ def test_fast_matches_reference_with_irrational_weights():
     np.testing.assert_allclose(fast, ref, rtol=1e-12)
 
 
+def test_fast_path_error_stays_inside_prefix_envelope():
+    """Real fields with +-1e12 spikes on 5% of cells next to N(0, 1) values,
+    perturbed weights, mu = +-3.  Every prefix entry, and every partial sum
+    it is built from, is a sum of non-negative terms at most
+    S = sum(omega * |f|); each takes at most L t-additions, one product
+    with omega and sum(W) spatial additions, each rounding by at most
+    eps * S.  A numerator is a signed sum of 2^(2n+1) such entries, folded
+    through partial sums of at most 2^(2n) * S, and the weighted volume is
+    at least min(omega), so an average may be off by
+    R = 2^(2n+1) * (L + 1 + sum(W) + 2^(2n)) + 1 units of eps * S / min(omega).
+    R leaves out the rounding of the weighted volumes and of the
+    reference's own sums; the worst error seen on these fields is under
+    one unit."""
+    eps = np.finfo(np.float64).eps
+    cases = [
+        (GridSpec.cube(1, 5, mu=3), False, SHIFT_STANDARD),
+        (GridSpec.cube(1, 6, mu=-3), True, SHIFT_SWAPPED),
+        (GridSpec.cube(2, 3, mu=3, factors=(2, 2)), False, SHIFT_STANDARD),
+    ]
+    for seed, (g, dyadic, convention) in enumerate(cases):
+        rng = np.random.default_rng(seed + 4)
+        vals = rng.normal(size=g.shape)
+        spikes = rng.random(g.shape) < 0.05
+        vals[spikes] = 1e12 * rng.choice([-1.0, 1.0], size=int(spikes.sum()))
+        f = ScalarField(g, vals)
+        w = make_perturbed_weight(g, make_power_weight(g, (1.0,) * (2 * g.n)), amplitude=0.5, seed=seed)
+        fam = RectangleFamily(g, dyadic_only=dyadic)
+        fast = maximal_field(f, w, fam, convention).values
+        ref = maximal_field_reference(f, w, fam, convention).values
+        S = float((w.spatial_values[..., None] * np.abs(vals)).sum())
+        R = 2 ** (2 * g.n + 1) * (g.t_len + 1 + sum(g.spatial_shape) + 4**g.n) + 1
+        tol = R * eps * S / w.expanded_spatial(fam.margins()).min()
+        err = np.abs(fast - ref)
+        assert err.max() <= tol, (g, err.max() / tol)
+        # the bound is far below the spikes' averages, and an entry moved
+        # just past it fails
+        assert tol < 1e-9 * ref.max()
+        worst = np.unravel_index(np.argmax(err), err.shape)
+        nudged = fast.copy()
+        nudged[worst] = ref[worst] + 1.01 * tol
+        assert np.abs(nudged - ref).max() > tol
+
+
 def test_fast_equals_reference_two_block_grid():
     rng = np.random.default_rng(23)
     g = GridSpec(
@@ -474,8 +517,24 @@ def _exact_sweep_cases(count, seed):
         yield f, w, fam, convention, x
 
 
+def _factor_cases():
+    """Fixed n = 2 geometries whose factors have one to four axes, so folds
+    of 2, 4, 8 and 16 corners run, odd and even: full and dyadic families,
+    mu = -2 and 3, both conventions."""
+    rng = np.random.default_rng(77)
+    extents = ((0, 2), (-1, 0), (1, 2), (-2, -1), (-1, 1))
+    factor_sets = ((1, 3), (3, 1), (4,), (1, 1, 2))
+    for factors, dyadic, mu, convention in itertools.product(
+        factor_sets, (False, True), (-2, 3), (SHIFT_STANDARD, SHIFT_SWAPPED)
+    ):
+        g = GridSpec(n=2, extents=extents, factors=factors, mu=mu)
+        fam = RectangleFamily(g, dyadic_only=dyadic)
+        x = tuple(int(rng.integers(lo, hi + 1)) for lo, hi in extents)
+        yield _int_field(g, rng, -4, 6), make_power_weight(g, (1.0,) * 4), fam, convention, x
+
+
 def test_argmax_rectangle_matches_literal_walk_and_field():
-    for f, w, fam, convention, x in _exact_sweep_cases(60, 2024):
+    for f, w, fam, convention, x in itertools.chain(_exact_sweep_cases(60, 2024), _factor_cases()):
         rect, val = argmax_rectangle(f, w, x, fam, convention)
         want_rect, want_val = _argmax_walk(f, w, x, fam, convention)
         assert (rect, val) == (want_rect, want_val), (fam.describe(), f.grid, convention, x)
