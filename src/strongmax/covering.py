@@ -301,9 +301,7 @@ def slice_union_ratios(sel: Selection, w: WeightField) -> list[dict]:
     """Per-t diagnostic: weighted spatial union of the inputs crossing each
     t level versus that of the chosen rectangles crossing it."""
     grid = sel.grid
-    if not w.t_independent:
-        raise DomainError("slice diagnostic needs a t-independent weight")
-    wsp = w.spatial_values
+    wsp = w.values
     m_all = union_mask(sel.rectangles, grid)
     m_sel = union_mask(sel.chosen(), grid)
     out = []

@@ -58,18 +58,16 @@ def lp_norm(f, w: WeightField, p: float) -> float:
     return float(((vals**p) * w.full_values()).sum() ** (1.0 / p))
 
 
-def lambda_ladder(mf, rungs: int = 64, bracket: float = 1e-9) -> np.ndarray:
+def lambda_ladder(mf, rungs: int = 64) -> np.ndarray:
     """Geometric levels spanning the positive attained values, each pulled
-    down by the bracket factor to keep the jump just above it visible."""
+    down by a factor 1 - 1e-9 to keep the jump just above it visible."""
     if rungs < 1:
         raise RangeError(f"need at least one rung, got {rungs}")
-    if not 0 < bracket < 1:
-        raise RangeError(f"bracket must lie in (0, 1), got {bracket}")
     vals = np.asarray(mf.values)
     pos = vals[vals > 0]
     if pos.size == 0:
         raise DomainError("maximal field has no positive values")
-    return np.geomspace(float(pos.min()), float(pos.max()), rungs) * (1.0 - bracket)
+    return np.geomspace(float(pos.min()), float(pos.max()), rungs) * (1.0 - 1e-9)
 
 
 def _field_and_norm(f, omega, p, family, mf, convention, quantity: str) -> tuple[MaximalField, float]:
@@ -227,10 +225,6 @@ def _trial_rows(cfg: ExperimentConfig, size: int, trial: int) -> list[TrialRow]:
     return out
 
 
-def _trial_star(args) -> list[TrialRow]:
-    return _trial_rows(*args)
-
-
 def worker_count() -> int:
     """Parallel trial workers, from STRONGMAX_WORKERS (default 1)."""
     raw = os.environ.get("STRONGMAX_WORKERS", "1")
@@ -306,9 +300,9 @@ def run_experiment(cfg: ExperimentConfig) -> BoundReport:
     rows: list[TrialRow] = []
     if workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for chunk in pool.map(_trial_star, tasks):
+            for chunk in pool.map(_trial_rows, *zip(*tasks)):
                 rows.extend(chunk)
     else:
         for task in tasks:
-            rows.extend(_trial_star(task))
+            rows.extend(_trial_rows(*task))
     return BoundReport(config=cfg, rows=tuple(rows))

@@ -230,8 +230,6 @@ def _box_tables(family: RectangleFamily):
 def _check_inputs(f: ScalarField, omega: WeightField, family: RectangleFamily, convention=SHIFT_STANDARD) -> None:
     if f.grid != family.grid or omega.grid != family.grid:
         raise DomainError("field, weight and family must share one grid")
-    if not omega.t_independent:
-        raise DomainError("maximal averages need a t-independent weight")
     if convention not in _CONVENTIONS:
         raise DomainError(f"unknown shift convention {convention!r}")
 
@@ -291,7 +289,7 @@ def _box_blocks(
     axes = [np.arange(lo, hi + 1, dtype=np.int64) for lo, hi in grid.extents[:sp]]
     coords_sp = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, sp)
     n_sp = coords_sp.shape[0]
-    omega_flat = omega.spatial_values.reshape(-1)
+    omega_flat = omega.values.reshape(-1)
     # t-prefix of |f| per spatial cell; weight prefix over the extended window
     cf = prefix_sums(np.abs(f.values).reshape(n_sp, L), [1])
     pw = prefix_sums(omega.expanded_spatial(margins), range(sp))

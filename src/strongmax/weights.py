@@ -1,11 +1,10 @@
-"""Product test weights and the comparability constant of their rectangles.
+"""Test weights and the comparability constant of their rectangles.
 
-A weight assigns a strictly positive number to every lattice cell.  The
-weights built here are t-independent products over the spatial axes, and
-each constructor records a closed-form cell rule, so values exist for
-every integer coordinate, not only inside the grid extents.  That matters
-because maximal averages normalise by the weighted volume of rectangles
-that may overhang the extents.
+A weight assigns a strictly positive number to every lattice cell.  Each
+weight is one positive cell rule on the spatial lattice Z^2n, constant
+along t, so values exist for every integer coordinate, not only inside
+the grid extents.  That matters because maximal averages normalise by the
+weighted volume of rectangles that may overhang the extents.
 
 The comparability constant eta(w, R) of a rectangle is the least fraction
 of weighted volume a subset can carry while still holding more than a
@@ -31,7 +30,6 @@ from .lattice import (
     count_rectangles,
     enumerate_rectangles,
     random_rectangle,
-    weighted_volume,
 )
 
 __all__ = [
@@ -74,84 +72,60 @@ def hash_uniform(seed: int, coords: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class WeightField:
-    """Strictly positive cell weights on a grid.
+    """Strictly positive cell weights on a grid, constant along t.
 
-    values       tabulated weights, spatial shape when t_independent else
-                 the full grid shape.
     cell_rule    vectorised map from integer spatial coordinates (shape
-                 (..., 2n)) to weights, valid on all of Z^2n; None when the
-                 weight is only known on the extents.
+                 (..., 2n)) to weights, valid on all of Z^2n.
+    descriptor   text naming the weight; parse_weight reads the built-in
+                 forms back.
+    values       the rule tabulated on the extents' spatial mesh, shape
+                 grid.spatial_shape, read-only; derived, not passed.
     """
 
     grid: GridSpec
-    values: np.ndarray
-    t_independent: bool = True
-    descriptor: str = "tabulated"
-    cell_rule: Callable[[np.ndarray], np.ndarray] | None = field(default=None, compare=False, repr=False)
+    cell_rule: Callable[[np.ndarray], np.ndarray] = field(compare=False, repr=False)
+    descriptor: str
+    values: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        vals = np.array(self.values, dtype=np.float64)
-        want = self.grid.spatial_shape if self.t_independent else self.grid.shape
-        if vals.shape != want:
-            raise DomainError(f"weight shape {vals.shape} != expected {want}")
+        sp = 2 * self.grid.n
+        axes = [np.arange(lo, hi + 1, dtype=np.int64) for lo, hi in self.grid.extents[:sp]]
+        mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+        vals = np.array(self.cell_rule(mesh), dtype=np.float64)
+        if vals.shape != self.grid.spatial_shape:
+            raise InvariantViolation(f"cell rule gave shape {vals.shape}, expected {self.grid.spatial_shape}")
         if not np.all(np.isfinite(vals)) or not np.all(vals > 0):
             raise InvariantViolation("weights must be finite and strictly positive")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
-    @property
-    def spatial_values(self) -> np.ndarray:
-        if not self.t_independent:
-            raise DomainError("weight depends on t; no spatial slice")
-        return self.values
-
     def full_values(self) -> np.ndarray:
         """Weights broadcast over the whole grid shape (read-only view)."""
-        if self.t_independent:
-            return np.broadcast_to(self.values[..., None], self.grid.shape)
-        return self.values
+        return np.broadcast_to(self.values[..., None], self.grid.shape)
 
     def value_at(self, spatial_coords: Sequence[int]) -> float:
-        c = tuple(int(x) for x in spatial_coords)
-        if len(c) != 2 * self.grid.n:
-            raise DomainError(f"expected {2*self.grid.n} spatial coordinates")
-        if self.cell_rule is not None:
-            return float(self.cell_rule(np.asarray(c, dtype=np.int64)[None, :])[0])
-        idx = tuple(x - lo for x, lo in zip(c, self.grid.lows))
-        if any(i < 0 or i >= w for i, w in zip(idx, self.grid.spatial_shape)):
-            raise DomainError(f"spatial point {c} outside extents and no cell rule")
-        return float(self.spatial_values[idx])
+        return float(self.spatial_values_at([[int(x) for x in spatial_coords]])[0])
 
     def spatial_values_at(self, coords: np.ndarray) -> np.ndarray:
-        """Weights at integer spatial coordinates of shape (..., 2n); uses
-        the cell rule off the extents, so tabulated-only weights must stay
-        inside them."""
+        """Weights at integer spatial coordinates of shape (..., 2n), on or
+        off the extents."""
         coords = np.asarray(coords, dtype=np.int64)
         if coords.shape[-1] != 2 * self.grid.n:
             raise DomainError(f"expected trailing dimension {2*self.grid.n}")
-        if self.cell_rule is not None:
-            return np.asarray(self.cell_rule(coords), dtype=np.float64)
-        sp = 2 * self.grid.n
-        lows = np.asarray(self.grid.lows[:sp], dtype=np.int64)
-        highs = np.asarray(self.grid.highs[:sp], dtype=np.int64)
-        if not np.all((coords >= lows) & (coords <= highs)):
-            raise DomainError("coordinates off the extents and no cell rule")
-        return self.spatial_values[tuple(np.moveaxis(coords - lows, -1, 0))]
+        return np.asarray(self.cell_rule(coords), dtype=np.float64)
 
     def rectangle_cell_weights(self, r: Rectangle) -> np.ndarray:
         """Flat array of the weights of every cell of r (r inside extents)."""
         sl = r.slices(self.grid)
-        if self.t_independent:
-            block = self.values[sl[:-1]]
-            reps = sl[-1].stop - sl[-1].start
-            return np.repeat(block.ravel(), reps)
-        return self.values[sl].ravel()
+        block = self.values[sl[:-1]]
+        reps = sl[-1].stop - sl[-1].start
+        return np.repeat(block.ravel(), reps)
 
     def expanded_spatial(self, margins: Sequence[int]) -> np.ndarray:
         """Spatial weights on the extents enlarged by `margins` per axis.
 
         The interior is the tabulated block; the surrounding ring comes
-        from the cell rule, which must exist when any margin is positive.
+        from the cell rule.
         """
         margins = tuple(int(m) for m in margins)
         sp = 2 * self.grid.n
@@ -159,12 +133,8 @@ class WeightField:
             raise DomainError(f"expected {sp} margins")
         if any(m < 0 for m in margins):
             raise DomainError("margins must be >= 0")
-        if not self.t_independent:
-            raise DomainError("expansion needs a t-independent weight")
         if all(m == 0 for m in margins):
             return self.values
-        if self.cell_rule is None:
-            raise DomainError(f"weight '{self.descriptor}' has no cell rule to extend with")
         shape = tuple(w + 2 * m for w, m in zip(self.grid.spatial_shape, margins))
         axes = [
             np.arange(lo - m, hi + m + 1, dtype=np.int64)
@@ -186,24 +156,8 @@ class WeightField:
         """The weight c*w, c > 0."""
         if not c > 0:
             raise RangeError(f"scale must be positive, got {c}")
-        rule = None
-        if self.cell_rule is not None:
-            base = self.cell_rule
-            rule = lambda coords: c * base(coords)
-        return WeightField(
-            grid=self.grid,
-            values=self.values * c,
-            t_independent=self.t_independent,
-            descriptor=f"scaled:{c!r}|{self.descriptor}",
-            cell_rule=rule,
-        )
-
-
-def _tabulate(grid: GridSpec, rule: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    sp = 2 * grid.n
-    axes = [np.arange(lo, hi + 1, dtype=np.int64) for lo, hi in grid.extents[:sp]]
-    coords = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-    return rule(coords)
+        base = self.cell_rule
+        return WeightField(self.grid, lambda coords: c * base(coords), f"scaled:{c!r}|{self.descriptor}")
 
 
 def make_constant_weight(grid: GridSpec, value: float = 1.0) -> WeightField:
@@ -211,7 +165,7 @@ def make_constant_weight(grid: GridSpec, value: float = 1.0) -> WeightField:
         raise RangeError(f"constant weight must be positive, got {value}")
     v = float(value)
     rule = lambda coords: np.full(coords.shape[:-1], v)
-    return WeightField(grid, _tabulate(grid, rule), True, f"constant:{v!r}", rule)
+    return WeightField(grid, rule, f"constant:{v!r}")
 
 
 def make_power_weight(
@@ -243,7 +197,7 @@ def make_power_weight(
         return out
 
     desc = f"power:{','.join(repr(a) for a in exps)}@{','.join(repr(c) for c in ctrs)}"
-    return WeightField(grid, _tabulate(grid, rule), True, desc, rule)
+    return WeightField(grid, rule, desc)
 
 
 def make_perturbed_weight(
@@ -259,15 +213,13 @@ def make_perturbed_weight(
     seed = int(seed)
     if base is None:
         base = make_constant_weight(grid)
-    if base.cell_rule is None:
-        raise DomainError("perturbation needs a base weight with a cell rule")
     base_rule = base.cell_rule
 
     def rule(coords: np.ndarray) -> np.ndarray:
         return base_rule(coords) * (1.0 + amplitude * hash_uniform(seed, coords))
 
     desc = f"perturbed:{amplitude!r}:{seed}|{base.descriptor}"
-    return WeightField(grid, _tabulate(grid, rule), True, desc, rule)
+    return WeightField(grid, rule, desc)
 
 
 def parse_weight(grid: GridSpec, text: str) -> WeightField:

@@ -55,10 +55,7 @@ def _int_hash_weight(grid, seed=5):
     def rule(coords):
         return 1.0 + np.floor(3.0 * (hash_uniform(seed, coords) + 1.0))
 
-    sp = 2 * grid.n
-    axes = [np.arange(lo, hi + 1) for lo, hi in grid.extents[:sp]]
-    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-    return WeightField(grid, rule(mesh), True, f"inthash:{seed}", rule)
+    return WeightField(grid, rule, f"inthash:{seed}")
 
 
 def test_criterion_1_group_form_matches_twisted_form():

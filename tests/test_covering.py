@@ -305,7 +305,7 @@ def test_slice_union_ratios():
 
 def _slice_union_ratios_walk(sel, w):
     # per-t walk over every rectangle: the oracle for the union-mask slices
-    grid, wsp = sel.grid, w.spatial_values
+    grid, wsp = sel.grid, w.values
     out = []
     for t in range(grid.t_lo, grid.t_hi + 1):
         m_all = np.zeros(grid.spatial_shape, dtype=bool)

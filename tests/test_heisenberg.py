@@ -61,10 +61,7 @@ def _int_hash_weight(grid, seed=5):
     def rule(coords):
         return 1.0 + np.floor(3.0 * (hash_uniform(seed, coords) + 1.0))
 
-    sp = 2 * grid.n
-    axes = [np.arange(lo, hi + 1) for lo, hi in grid.extents[:sp]]
-    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-    return WeightField(grid, rule(mesh), True, f"inthash:{seed}", rule)
+    return WeightField(grid, rule, f"inthash:{seed}")
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +236,7 @@ def test_fast_path_error_stays_inside_prefix_envelope():
         fam = RectangleFamily(g, dyadic_only=dyadic)
         fast = maximal_field(f, w, fam, convention).values
         ref = maximal_field_reference(f, w, fam, convention).values
-        S = float((w.spatial_values[..., None] * np.abs(vals)).sum())
+        S = float((w.values[..., None] * np.abs(vals)).sum())
         R = 2 ** (2 * g.n + 1) * (g.t_len + 1 + sum(g.spatial_shape) + 4**g.n) + 1
         tol = R * eps * S / w.expanded_spatial(fam.margins()).min()
         err = np.abs(fast - ref)

@@ -35,15 +35,6 @@ def _line_grid(width: int) -> GridSpec:
     return GridSpec(n=1, extents=((0, width - 1), (0, 0), (0, 0)), factors=(1, 1), mu=1)
 
 
-def _rule_weight(grid: GridSpec, rule, desc: str) -> WeightField:
-    lows = np.asarray(grid.lows[: 2 * grid.n])
-    mesh = np.stack(
-        np.meshgrid(*[np.arange(lo, hi + 1) for lo, hi in grid.extents[: 2 * grid.n]], indexing="ij"),
-        axis=-1,
-    )
-    return WeightField(grid, rule(mesh), True, desc, rule)
-
-
 # ---------------------------------------------------------------------------
 # constructors
 
@@ -51,9 +42,8 @@ def _rule_weight(grid: GridSpec, rule, desc: str) -> WeightField:
 def test_constant_weight():
     g = GridSpec.cube(1, 3)
     w = make_constant_weight(g, 2.5)
-    assert w.spatial_values.shape == (3, 3)
-    assert np.all(w.spatial_values == 2.5)
-    assert w.t_independent
+    assert w.values.shape == (3, 3)
+    assert np.all(w.values == 2.5)
     with pytest.raises(RangeError):
         make_constant_weight(g, 0.0)
 
@@ -62,13 +52,13 @@ def test_power_weight_profile():
     g = _line_grid(4)
     w = make_power_weight(g, (1.0, 0.0))
     # |c + 1/2| at c = 0..3
-    np.testing.assert_array_equal(w.spatial_values[:, 0], [0.5, 1.5, 2.5, 3.5])
+    np.testing.assert_array_equal(w.values[:, 0], [0.5, 1.5, 2.5, 3.5])
 
 
 def test_power_weight_center_shift():
     g = _line_grid(4)
     w = make_power_weight(g, (1.0, 0.0), centers=(2.0, 0.0))
-    np.testing.assert_array_equal(w.spatial_values[:, 0], [1.5, 0.5, 0.5, 1.5])
+    np.testing.assert_array_equal(w.values[:, 0], [1.5, 0.5, 0.5, 1.5])
 
 
 def test_power_weight_is_separable():
@@ -76,7 +66,7 @@ def test_power_weight_is_separable():
     w = make_power_weight(g, (1.0, 2.0))
     prof_u = np.abs(np.arange(4) + 0.5) ** 1.0
     prof_v = np.abs(np.arange(3) + 0.5) ** 2.0
-    np.testing.assert_allclose(w.spatial_values, np.outer(prof_u, prof_v), rtol=1e-15)
+    np.testing.assert_allclose(w.values, np.outer(prof_u, prof_v), rtol=1e-15)
 
 
 def test_power_weight_exponent_range():
@@ -92,13 +82,13 @@ def test_perturbed_weight_bounds_and_determinism():
     g = GridSpec.cube(1, 5)
     w1 = make_perturbed_weight(g, amplitude=0.5, seed=11)
     w2 = make_perturbed_weight(g, amplitude=0.5, seed=11)
-    np.testing.assert_array_equal(w1.spatial_values, w2.spatial_values)
-    assert np.all(w1.spatial_values > 0.5 - 1e-12)
-    assert np.all(w1.spatial_values < 1.5)
+    np.testing.assert_array_equal(w1.values, w2.values)
+    assert np.all(w1.values > 0.5 - 1e-12)
+    assert np.all(w1.values < 1.5)
     w3 = make_perturbed_weight(g, amplitude=0.5, seed=12)
-    assert np.any(w1.spatial_values != w3.spatial_values)
+    assert np.any(w1.values != w3.values)
     flat = make_perturbed_weight(g, amplitude=0.0, seed=11)
-    np.testing.assert_array_equal(flat.spatial_values, 1.0)
+    np.testing.assert_array_equal(flat.values, 1.0)
     with pytest.raises(RangeError):
         make_perturbed_weight(g, amplitude=1.0)
 
@@ -111,6 +101,34 @@ def test_hash_uniform_behaviour():
     assert r[0] == r[3]  # function of the cell, not of call order
     np.testing.assert_array_equal(r, hash_uniform(3, coords))
     assert np.any(r != hash_uniform(4, coords))
+
+
+@pytest.mark.parametrize(
+    "rule",
+    [
+        lambda c: np.ones(c.shape[:-1] + (2,)),  # wrong shape
+        lambda c: np.ones(c.shape[:-2]),  # wrong shape
+        lambda c: np.where(c[..., 0] == 1, 0.0, 1.0),
+        lambda c: np.where(c[..., 1] == 2, -1.0, 1.0),
+        lambda c: np.where(c[..., 0] == 0, np.nan, 1.0),
+        lambda c: np.where(c[..., 1] == 0, np.inf, 1.0),
+    ],
+)
+def test_construction_rejects_bad_rule(rule):
+    with pytest.raises(InvariantViolation):
+        WeightField(GridSpec.cube(1, 3), rule, "bad")
+
+
+def test_values_are_the_rule_on_the_extents():
+    # every parse_weight form, and a scaled weight: values, the rule on
+    # the extents mesh and the interior of the expansion agree bitwise
+    g = GridSpec(n=1, extents=((-2, 3), (1, 4), (0, 2)), factors=(1, 1), mu=2)
+    mesh = np.stack(np.meshgrid(np.arange(-2, 4), np.arange(1, 5), indexing="ij"), axis=-1)
+    ws = [parse_weight(g, t) for t in ["constant:2.5", "power:0.5,1.5@0.25,2.0", "perturbed:0.4:7|power:1.0,-0.5@1.0,3.0"]]
+    for w in ws + [w.scaled(3.0) for w in ws]:
+        assert w.values.shape == (6, 4) and not w.values.flags.writeable
+        np.testing.assert_array_equal(w.values, w.spatial_values_at(mesh))
+        np.testing.assert_array_equal(w.expanded_spatial((2, 1))[2:8, 1:5], w.values)
 
 
 # ---------------------------------------------------------------------------
@@ -126,8 +144,9 @@ def test_expanded_spatial_interior_is_verbatim():
     ]:
         exp = w.expanded_spatial((2, 3))
         assert exp.shape == (4 + 4, 4 + 6)
-        np.testing.assert_array_equal(exp[2:6, 3:7], w.spatial_values)
+        np.testing.assert_array_equal(exp[2:6, 3:7], w.values)
         assert np.all(exp > 0)
+        np.testing.assert_array_equal(w.expanded_spatial((0, 0)), w.values)
 
 
 def test_expanded_spatial_ring_follows_the_rule():
@@ -136,14 +155,6 @@ def test_expanded_spatial_ring_follows_the_rule():
     exp = w.expanded_spatial((1, 1))
     # cell (-1, -1) has weight |-1 + 1/2|^1 on both axes
     assert exp[0, 0] == pytest.approx(0.25, rel=1e-15)
-
-
-def test_expansion_requires_a_rule():
-    g = GridSpec.cube(1, 3)
-    w = WeightField(g, np.ones((3, 3)), True, "tabulated", None)
-    np.testing.assert_array_equal(w.expanded_spatial((0, 0)), w.spatial_values)
-    with pytest.raises(DomainError):
-        w.expanded_spatial((1, 0))
 
 
 def test_expansion_rejects_degenerate_rule():
@@ -162,7 +173,7 @@ def test_rectangle_cell_weights_and_scaling():
     r2 = Rectangle.from_bounds([(1, 2), (0, 0), (0, 0)], (1, 1))
     assert w.rectangle_cell_weights(r2).sum() == 4.0
     doubled = w.scaled(2.0)
-    np.testing.assert_array_equal(doubled.spatial_values, 2.0 * w.spatial_values)
+    np.testing.assert_array_equal(doubled.values, 2.0 * w.values)
     assert doubled.descriptor != w.descriptor
     with pytest.raises(RangeError):
         w.scaled(0.0)
@@ -178,7 +189,7 @@ def test_parse_weight_round_trips():
                  "perturbed:0.5:9", "perturbed:0.25:3|power:1.0,1.0"]:
         w = parse_weight(g, text)
         again = parse_weight(g, w.descriptor)
-        np.testing.assert_array_equal(w.spatial_values, again.spatial_values)
+        np.testing.assert_array_equal(w.values, again.values)
 
 
 def test_parse_weight_rejects_unknown():
@@ -203,7 +214,7 @@ def test_eta_constant_weight_half():
 
 def test_eta_weighted_example():
     g = _line_grid(4)
-    w = _rule_weight(g, lambda c: (c[..., 0] + 1.0), "ramp")
+    w = WeightField(g, lambda c: (c[..., 0] + 1.0), "ramp")
     r = Rectangle.from_bounds([(0, 3), (0, 0), (0, 0)], (1, 1))
     # cells weigh 1, 2, 3, 4; keep the 3 lightest of 4: 6 / 10
     assert exact_eta(w, r) == 0.6
