@@ -1,12 +1,14 @@
 """Command-line front end: seeded runs with file outputs and config echo.
 
-Every subcommand resolves its parameters as defaults < config file <
-explicit flags, writes the resolved set to config_echo.json in the
-output directory, and emits deterministic files, so rerunning from the
-echo reproduces them byte for byte (timestamp header lines aside).
+`main` runs every subcommand one way: it resolves the options as defaults
+< --config file < explicit flags, creates --out, lets the subcommand
+write its deterministic files, and last writes the resolved set to
+config_echo.json, so only a run that succeeded leaves an echo. Rerunning
+from the echo reproduces every file byte for byte, `_timestamp` lines aside.
 
-Exit codes: 0 on success, 2 for usage or configuration errors, 3 when a
-structural invariant fails at run time.
+Exit codes: 0 on success; 2 for usage or configuration errors, among them
+an unknown config key or a config value whose JSON type is not its
+default's; 3 when a structural invariant fails at run time.
 """
 
 from __future__ import annotations
@@ -47,10 +49,10 @@ from .lattice import (
 )
 from .weights import eta_survey, parse_weight
 
+_COMMON_DEFAULTS = {"n": 1, "mu": 1, "factors": []}
+
 _MAXIMAL_DEFAULTS = {
-    "n": 1,
-    "mu": 1,
-    "factors": [],
+    **_COMMON_DEFAULTS,
     "size": 8,
     "extents": None,
     "weight": "constant",
@@ -64,9 +66,7 @@ _MAXIMAL_DEFAULTS = {
 }
 
 _COVER_DEFAULTS = {
-    "n": 1,
-    "mu": 1,
-    "factors": [],
+    **_COMMON_DEFAULTS,
     "size": 16,
     "extents": None,
     "weight": "constant",
@@ -79,9 +79,7 @@ _COVER_DEFAULTS = {
 }
 
 _WEAKTYPE_DEFAULTS = {
-    "n": 1,
-    "mu": 1,
-    "factors": [],
+    **_COMMON_DEFAULTS,
     "sizes": [8, 16, 24],
     "weight": "constant",
     "generator": "dense",
@@ -94,9 +92,7 @@ _WEAKTYPE_DEFAULTS = {
 }
 
 _ETA_DEFAULTS = {
-    "n": 1,
-    "mu": 1,
-    "factors": [],
+    **_COMMON_DEFAULTS,
     "size": 8,
     "extents": None,
     "weight": "power:1.0,1.0",
@@ -105,6 +101,9 @@ _ETA_DEFAULTS = {
     "seed": 0,
     "threshold": 0.5,
 }
+
+# keys whose default is null, and the types a config may give them instead
+_NULLABLE = {"extents": (int, list), "input": (str,), "rects": (str,)}
 
 
 def _int_list(text: str) -> list[int]:
@@ -115,9 +114,21 @@ def _float_list(text: str) -> list[float]:
     return [float(x) for x in text.split(",") if x.strip()]
 
 
+def _accepts(key: str, default, value) -> bool:
+    """Whether a config value has its default's JSON type: any number where a
+    float is expected, a list of numbers where a list is."""
+    if key in _NULLABLE:
+        return value is None or type(value) in _NULLABLE[key]
+    if isinstance(default, float):
+        return type(value) in (int, float)
+    if isinstance(default, list):
+        return type(value) is list and all(type(x) in (int, float) for x in value)
+    return type(value) is type(default)
+
+
 def _resolve(defaults: dict, args: argparse.Namespace) -> dict:
     resolved = dict(defaults)
-    if getattr(args, "config", None):
+    if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             loaded = json.load(fh)
         if not isinstance(loaded, dict):
@@ -125,6 +136,9 @@ def _resolve(defaults: dict, args: argparse.Namespace) -> dict:
         unknown = set(loaded) - set(defaults)
         if unknown:
             raise DomainError(f"{args.config}: unknown keys {sorted(unknown)}")
+        wrong = [k for k, v in loaded.items() if not _accepts(k, defaults[k], v)]
+        if wrong:
+            raise DomainError(f"{args.config}: values of the wrong type for {sorted(wrong)}")
         resolved.update(loaded)
     for key in defaults:
         val = getattr(args, key, None)
@@ -149,12 +163,10 @@ def _write_json(path, obj) -> None:
         fh.write("\n")
 
 
-def _echo_config(out_dir: str, resolved: dict) -> None:
-    _write_json(os.path.join(out_dir, "config_echo.json"), resolved)
-
-
-def _stamp() -> str:
-    return datetime.now(timezone.utc).isoformat()
+def _write_stamped(path, payload: dict) -> None:
+    """A report file: the payload plus a `_timestamp`, the one line a replay
+    from config_echo.json does not reproduce."""
+    _write_json(path, {"_timestamp": datetime.now(timezone.utc).isoformat(), **payload})
 
 
 def _family_flag(resolved: dict) -> bool:
@@ -164,10 +176,7 @@ def _family_flag(resolved: dict) -> bool:
     return fam == "dyadic"
 
 
-def cmd_maximal(args: argparse.Namespace) -> int:
-    resolved = _resolve(_MAXIMAL_DEFAULTS, args)
-    out_dir = args.out
-    os.makedirs(out_dir, exist_ok=True)
+def cmd_maximal(resolved: dict, out_dir: str) -> None:
     if resolved["input"]:
         path = resolved["input"]
         reader = read_field_binary if path.endswith(".bin") else read_field_csv
@@ -206,7 +215,6 @@ def cmd_maximal(args: argparse.Namespace) -> int:
     flat = int(mf.values.argmax())
     coords = [int(i + lo) for i, lo in zip(np.unravel_index(flat, grid.shape), grid.lows)]
     summary = {
-        "_timestamp": _stamp(),
         "max_value": top,
         "argmax_point": coords,
         "family": mf.family,
@@ -217,24 +225,15 @@ def cmd_maximal(args: argparse.Namespace) -> int:
         rect, val = argmax_rectangle(f, w, coords, family, resolved["convention"])
         summary["argmax_rectangle"] = [list(b) for b in rect.bounds]
         summary["argmax_rectangle_value"] = val
-    _write_json(os.path.join(out_dir, "summary.json"), summary)
-    _echo_config(out_dir, resolved)
+    _write_stamped(os.path.join(out_dir, "summary.json"), summary)
     print(f"maximal: max {top!r} at {coords}; outputs in {out_dir}")
-    return 0
 
 
-def cmd_cover(args: argparse.Namespace) -> int:
-    resolved = _resolve(_COVER_DEFAULTS, args)
-    out_dir = args.out
-    os.makedirs(out_dir, exist_ok=True)
+def cmd_cover(resolved: dict, out_dir: str) -> None:
     grid = _grid_of(resolved)
     w = parse_weight(grid, resolved["weight"])
-    cross = resolved["cross"]
-    if cross != "t":
-        cross = int(cross)
-    rects = None
-    if resolved["rects"]:
-        rects = import_rectangles_csv(resolved["rects"], grid)
+    cross = resolved["cross"] if resolved["cross"] == "t" else int(resolved["cross"])
+    rects = import_rectangles_csv(resolved["rects"], grid) if resolved["rects"] else None
     report, sel = covering_experiment(
         grid,
         w,
@@ -244,25 +243,18 @@ def cmd_cover(args: argparse.Namespace) -> int:
         cross=cross,
         rects=rects,
     )
-    payload = {"_timestamp": _stamp()}
-    payload.update(report.to_json_dict())
-    _write_json(os.path.join(out_dir, "covering_report.json"), payload)
+    _write_stamped(os.path.join(out_dir, "covering_report.json"), report.to_json_dict())
     sel.write_audit_csv(os.path.join(out_dir, "selection_audit.csv"))
     export_rectangles_csv(sel.chosen(), os.path.join(out_dir, "chosen_rectangles.csv"), grid)
     if resolved["slices"]:
         _write_json(os.path.join(out_dir, "slice_ratios.json"), slice_union_ratios(sel, w))
-    _echo_config(out_dir, resolved)
     print(
         f"cover: kept {report.count_chosen}/{report.count_input}, "
         f"comparability {report.comparability_ratio!r}, indicator {report.indicator_ratio!r}"
     )
-    return 0
 
 
-def cmd_weaktype(args: argparse.Namespace) -> int:
-    resolved = _resolve(_WEAKTYPE_DEFAULTS, args)
-    out_dir = args.out
-    os.makedirs(out_dir, exist_ok=True)
+def cmd_weaktype(resolved: dict, out_dir: str) -> None:
     cfg = ExperimentConfig(
         n=int(resolved["n"]),
         mu=int(resolved["mu"]),
@@ -278,20 +270,13 @@ def cmd_weaktype(args: argparse.Namespace) -> int:
         convention=resolved["convention"],
     )
     report = run_experiment(cfg)
-    payload = {"_timestamp": _stamp()}
-    payload.update(report.to_json_dict())
-    _write_json(os.path.join(out_dir, "bound_report.json"), payload)
+    _write_stamped(os.path.join(out_dir, "bound_report.json"), report.to_json_dict())
     report.write_csv(os.path.join(out_dir, "bound_report.csv"))
-    _echo_config(out_dir, resolved)
     for row in report.scaling_table():
         print(f"weaktype: p={row['p']!r} max weak by size {row['max_weak_by_size']} spread {row['spread']!r}")
-    return 0
 
 
-def cmd_eta(args: argparse.Namespace) -> int:
-    resolved = _resolve(_ETA_DEFAULTS, args)
-    out_dir = args.out
-    os.makedirs(out_dir, exist_ok=True)
+def cmd_eta(resolved: dict, out_dir: str) -> None:
     grid = _grid_of(resolved)
     w = parse_weight(grid, resolved["weight"])
     report = eta_survey(
@@ -302,16 +287,12 @@ def cmd_eta(args: argparse.Namespace) -> int:
         seed=int(resolved["seed"]),
         threshold=float(resolved["threshold"]),
     )
-    payload = {"_timestamp": _stamp()}
-    payload.update(report.to_json_dict())
-    _write_json(os.path.join(out_dir, "eta_report.json"), payload)
+    _write_stamped(os.path.join(out_dir, "eta_report.json"), report.to_json_dict())
     report.write_csv(os.path.join(out_dir, "eta_report.csv"))
-    _echo_config(out_dir, resolved)
     print(
         f"eta: global {report.global_eta!r} over {report.rectangle_count} rectangles "
         f"({'exhaustive' if report.exhaustive else 'sampled'})"
     )
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -339,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--gen-seed", dest="gen_seed", type=int)
     m.add_argument("--format", choices=["csv", "bin", "json"])
     m.add_argument("--argmax-rect", dest="argmax_rect", action="store_const", const=True)
-    m.set_defaults(func=cmd_maximal)
+    m.set_defaults(func=cmd_maximal, defaults=_MAXIMAL_DEFAULTS)
 
     c = sub.add_parser("cover", help="run a covering selection experiment")
     common(c)
@@ -350,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--cross", help="designated factor: 't' or a factor index")
     c.add_argument("--rects", help="CSV of rectangles to use instead of random ones")
     c.add_argument("--slices", action="store_const", const=True, help="write per-t union ratios")
-    c.set_defaults(func=cmd_cover)
+    c.set_defaults(func=cmd_cover, defaults=_COVER_DEFAULTS)
 
     wk = sub.add_parser("weaktype", help="weak-type and strong-norm experiment grid")
     common(wk)
@@ -362,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     wk.add_argument("--rungs", type=int)
     wk.add_argument("--seed", type=int)
     wk.add_argument("--convention", choices=[SHIFT_STANDARD, SHIFT_SWAPPED])
-    wk.set_defaults(func=cmd_weaktype)
+    wk.set_defaults(func=cmd_weaktype, defaults=_WEAKTYPE_DEFAULTS)
 
     e = sub.add_parser("eta", help="survey the rectangle comparability constant")
     common(e)
@@ -371,24 +352,24 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--subset-samples", dest="subset_samples", type=int)
     e.add_argument("--seed", type=int)
     e.add_argument("--threshold", type=float)
-    e.set_defaults(func=cmd_eta)
+    e.set_defaults(func=cmd_eta, defaults=_ETA_DEFAULTS)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        resolved = _resolve(args.defaults, args)
+        os.makedirs(args.out, exist_ok=True)
+        args.func(resolved, args.out)
+        _write_json(os.path.join(args.out, "config_echo.json"), resolved)
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 3
-    except (DomainError, RangeError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    return 0
 
 
 if __name__ == "__main__":

@@ -16,7 +16,6 @@ cube of side 3s.  All overlap accounting is exact integer cell counting.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
@@ -245,11 +244,6 @@ class CoveringReport:
 
     def to_json_dict(self) -> dict:
         return asdict(self)
-
-    def write_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh, sort_keys=True, indent=1)
-            fh.write("\n")
 
 
 def covering_experiment(

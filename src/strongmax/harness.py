@@ -16,7 +16,6 @@ L^p(w) norms directly and dominates the weak quantity (Chebyshev).
 from __future__ import annotations
 
 import csv
-import json
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
@@ -276,11 +275,6 @@ class BoundReport:
             "aggregates": self.aggregates(),
             "scaling": self.scaling_table(),
         }
-
-    def write_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh, sort_keys=True, indent=1, allow_nan=False)
-            fh.write("\n")
 
     def write_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="") as fh:

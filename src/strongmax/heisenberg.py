@@ -159,7 +159,7 @@ def _shear(mu: int, anchors: np.ndarray, cells: np.ndarray, convention: str) -> 
     return mu * (anchors[:, :n] @ eta.T - anchors[:, n:] @ xi.T)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MaximalField:
     """Values of a maximal operator at every grid point, with provenance."""
 

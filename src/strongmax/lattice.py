@@ -312,7 +312,7 @@ def weighted_volume(w, r: Rectangle) -> float:
     return float(vals.sum())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScalarField:
     """Float64 samples on the grid cells, zero outside the extents."""
 
@@ -620,12 +620,15 @@ def grid_from_config(cfg: dict) -> GridSpec:
     ext = cfg.get("extents", cfg.get("size"))
     if ext is None:
         raise DomainError("grid config requires 'extents' or 'size'")
+    seq = (list, tuple)
     if isinstance(ext, (int, np.integer)):
         extents = ((0, int(ext) - 1),) * d
-    elif len(ext) == 2 and all(isinstance(x, (int, np.integer)) for x in ext):
-        extents = ((int(ext[0]), int(ext[1])),) * d
+    elif isinstance(ext, seq) and len(ext) == 2 and not any(isinstance(x, seq) for x in ext):
+        extents = (tuple(ext),) * d
+    elif isinstance(ext, seq) and all(isinstance(e, seq) and len(e) == 2 for e in ext):
+        extents = tuple(tuple(e) for e in ext)
     else:
-        extents = tuple((int(a), int(b)) for a, b in ext)
+        raise DomainError(f"extents must be a size, a [lo, hi] pair or a list of pairs, got {ext!r}")
     return GridSpec(
         n=n,
         extents=extents,

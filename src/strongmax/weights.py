@@ -15,7 +15,6 @@ cells of smallest weight, so eta is computed exactly by a partial sort.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -70,7 +69,7 @@ def hash_uniform(seed: int, coords: np.ndarray) -> np.ndarray:
     return (h >> np.uint64(11)).astype(np.float64) * (2.0**-52) - 1.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightField:
     """Strictly positive cell weights on a grid, constant along t.
 
@@ -83,7 +82,7 @@ class WeightField:
     """
 
     grid: GridSpec
-    cell_rule: Callable[[np.ndarray], np.ndarray] = field(compare=False, repr=False)
+    cell_rule: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     descriptor: str
     values: np.ndarray = field(init=False)
 
@@ -312,11 +311,6 @@ class ComparabilityReport:
                 for row in self.rows
             ],
         }
-
-    def write_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh, sort_keys=True, indent=1)
-            fh.write("\n")
 
     def write_csv(self, path) -> None:
         d = len(self.rows[0].bounds) if self.rows else 0

@@ -50,6 +50,51 @@ def test_unknown_config_key_exits_2(tmp_path):
     assert main(["maximal", "--config", str(cfg), "--out", str(tmp_path)]) == 2
 
 
+COMMANDS = ["maximal", "cover", "weaktype", "eta"]
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_unknown_config_key_exits_2_on_every_command(tmp_path, command):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"sizee": 4}))
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out" / "config_echo.json").exists()
+
+
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        ("maximal", {"factors": 5}),
+        ("maximal", {"extents": [1, [2, 3]]}),
+        ("maximal", {"input": 5}),
+        ("maximal", {"weight": 3}),
+        ("weaktype", {"p_values": 2.0}),
+        ("weaktype", {"sizes": 8}),
+        ("cover", {"rects": 3}),
+        ("cover", {"cross": 1.5}),
+    ],
+)
+def test_config_value_of_wrong_type_exits_2(tmp_path, capsys, command, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "out" / "config_echo.json").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        *[([command, "--weight", "constant:-1"], 2) for command in COMMANDS],
+        (["maximal", "--size", "4", "--weight", "power:1.0,1.0@-1.5,-1.5"], 3),
+        (["weaktype", "--sizes", "4", "--trials", "1", "--weight", "power:1.0,1.0@-1.5,-1.5"], 3),
+    ],
+)
+def test_failed_run_leaves_no_echo(tmp_path, argv, code):
+    assert main([*argv, "--out", str(tmp_path)]) == code
+    assert not (tmp_path / "config_echo.json").exists()
+
+
 def test_missing_input_file_exits_2(tmp_path):
     assert main(["maximal", "--input", str(tmp_path / "nope.csv"), "--out", str(tmp_path)]) == 2
 

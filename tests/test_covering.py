@@ -1,7 +1,6 @@
 """Selection dichotomy, companions, audits, and union statistics."""
 
 import csv
-import json
 
 import numpy as np
 import pytest
@@ -260,13 +259,11 @@ def test_covering_experiment_disjoint_batch_is_exact():
     assert rep.indicator_ratio == 1.0
 
 
-def test_covering_report_json(tmp_path):
+def test_covering_report_json():
     g = _grid()
     w = make_constant_weight(g)
     rep, _ = covering_experiment(g, w, p=2.0, count=40, seed=2)
-    p = tmp_path / "report.json"
-    rep.write_json(p)
-    loaded = json.loads(p.read_text())
+    loaded = rep.to_json_dict()
     assert loaded["count_chosen"] == rep.count_chosen
     assert loaded["comparability_ratio"] == rep.comparability_ratio
 

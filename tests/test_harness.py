@@ -1,6 +1,5 @@
 """Norms, ladders, weak-type quantities, generators, and experiment runs."""
 
-import json
 
 import numpy as np
 import pytest
@@ -271,11 +270,10 @@ def test_report_aggregates_and_scaling():
 def test_report_files(tmp_path):
     cfg = ExperimentConfig(grid_sizes=(4,), trials=2, p_values=(2.0,), seed=1)
     rep = run_experiment(cfg)
-    jpath, cpath = tmp_path / "rep.json", tmp_path / "rep.csv"
-    rep.write_json(jpath)
+    cpath = tmp_path / "rep.csv"
     rep.write_csv(cpath)
-    loaded = json.loads(jpath.read_text())
-    assert loaded["config"]["grid_sizes"] == [4]
+    loaded = rep.to_json_dict()
+    assert list(loaded["config"]["grid_sizes"]) == [4]
     assert len(loaded["rows"]) == 2
     lines = cpath.read_text().strip().splitlines()
     assert len(lines) == 3

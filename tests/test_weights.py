@@ -6,7 +6,6 @@ library takes.
 """
 
 import itertools
-import json
 
 import numpy as np
 import pytest
@@ -19,6 +18,8 @@ from strongmax import (
     InvariantViolation,
     RangeError,
     Rectangle,
+    RectangleFamily,
+    ScalarField,
     WeightField,
     eta_survey,
     exact_eta,
@@ -26,6 +27,7 @@ from strongmax import (
     make_constant_weight,
     make_perturbed_weight,
     make_power_weight,
+    maximal_field,
     parse_weight,
 )
 
@@ -323,11 +325,21 @@ def test_eta_report_files(tmp_path):
     g = GridSpec.cube(1, 2)
     w = make_power_weight(g, (1.0, 0.0))
     rep = eta_survey(w, g, rectangle_budget=512, subset_samples=5, seed=2)
-    jpath, cpath = tmp_path / "eta.json", tmp_path / "eta.csv"
-    rep.write_json(jpath)
+    cpath = tmp_path / "eta.csv"
     rep.write_csv(cpath)
-    loaded = json.loads(jpath.read_text())
+    loaded = rep.to_json_dict()
     assert loaded["global_eta"] == rep.global_eta
     assert loaded["rectangle_count"] == rep.rectangle_count
     lines = cpath.read_text().strip().splitlines()
     assert len(lines) == 1 + rep.rectangle_count
+
+
+def test_fields_compare_and_hash_by_identity():
+    # equality on the values arrays would raise, so fields compare as objects
+    g = GridSpec.cube(1, 3)
+    w = make_constant_weight(g)
+    f = ScalarField.point_mass(g, (1, 1, 1))
+    mf = maximal_field(f, w, RectangleFamily(g))
+    assert w == w
+    assert w != make_constant_weight(g)
+    assert len({w, f, mf}) == 3
