@@ -116,13 +116,15 @@ def _float_list(text: str) -> list[float]:
 
 def _accepts(key: str, default, value) -> bool:
     """Whether a config value has its default's JSON type: any number where a
-    float is expected, a list of numbers where a list is."""
+    float is expected; a list of integers where the default lists integers
+    (sizes, factors), a list of numbers where it lists floats."""
     if key in _NULLABLE:
         return value is None or type(value) in _NULLABLE[key]
     if isinstance(default, float):
         return type(value) in (int, float)
     if isinstance(default, list):
-        return type(value) is list and all(type(x) in (int, float) for x in value)
+        entry = (int,) if all(type(x) is int for x in default) else (int, float)
+        return type(value) is list and all(type(x) in entry for x in value)
     return type(value) is type(default)
 
 

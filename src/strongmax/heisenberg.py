@@ -241,19 +241,51 @@ def _check_inputs(f: ScalarField, omega: WeightField, family: RectangleFamily, c
 # Working-set budget of the fast kernel's box block, in bytes: its box sums
 # and their cuts-major copy bv, 2 * n_c * 8 per box (the corner slab is as
 # large again); a block is a run of the first factor's options, one at
-# least.  From bench/run.py runs on all four workloads (CHANGES.md): 1 << 20
-# .. 1 << 22 ran alike within the host's noise, with peak RSS growing in
-# the budget; 1 << 26 ran 30-50% slower at 2.5-5x the RSS.
+# least.  Every other array of _box_blocks is per call, sized by the grid
+# and the family (see its docstring).  From bench/run.py runs on all four
+# workloads (CHANGES.md): 1 << 20 .. 1 << 22 ran alike within the host's
+# noise, with peak RSS growing in the budget; 1 << 26 ran 30-50% slower at
+# 2.5-5x the RSS.
 _BLOCK_BYTES = 1 << 21
 
 
-def _fold(table, axis, pos, dims, out, slab):
+def _corner_tables(family: RectangleFamily, dims: np.ndarray, shift) -> list[list[np.ndarray]]:
+    """Corner tables of a summed-area table of shape dims whose axes are
+    merged per spatial factor in C order: per factor i, one table per axis
+    a of it, whose row b (2^N_i, n_o_i) holds the corners of
+    _factor_options(family, i) on axis a for the anchor at b (0 <= b < w_a,
+    the extents' width on a), shifted by shift[a], clipped to
+    [0, dims[a] - 1] and times a's stride in the merged axis.  A factor's
+    flat corner indices are the sum of its axes' rows (_corner_rows); a
+    table takes w_a * 2^N_i * n_o_i * 8 bytes."""
+    grid = family.grid
+    tabs = []
+    for i in range(len(grid.factors)):
+        ax = list(grid.factor_axes(i))
+        corners = _factor_options(family, i)[2]
+        strides = np.cumprod([1, *dims[ax][:0:-1]])[::-1]
+        tabs.append([])
+        for j, (a, stride) in enumerate(zip(ax, strides)):
+            at = corners[..., j] + (np.arange(grid.shape[a]) + shift[a])[:, None, None]
+            tabs[i].append(np.clip(at, 0, dims[a] - 1) * stride)
+    return tabs
+
+
+def _corner_rows(tabs: list[np.ndarray], at) -> np.ndarray:
+    """One factor's flat corner indices (2^N, n_o) for an anchor at `at` on
+    its axes, out of _corner_tables."""
+    flat = tabs[0][at[0]]
+    for tab, b in zip(tabs[1:], at[1:]):
+        flat = flat + tab[b]
+    return flat
+
+
+def _fold(table, axis, flat, out, slab):
     """Box sums of one spatial factor out of a summed-area table whose axis
-    `axis` holds the factor's N axes merged in C order, sized dims: the 2^N
-    corners pos of the boxes, as in _factor_options, are clipped to the
-    table, gathered along axis and added with sign (-1)^(low axes) into out.
-    """
-    flat = np.ravel_multi_index(np.moveaxis(np.clip(pos, 0, np.subtract(dims, 1)), -1, 0), dims)
+    `axis` holds the factor's axes merged in C order: the flat indices
+    flat (2^N, n_o) of the boxes' corners, the all-high corner first as in
+    _factor_options, are gathered along axis and added with sign
+    (-1)^(low axes) into out."""
     # indices are in range; mode="clip" keeps take from buffering out
     np.take(table, flat[0], axis=axis, out=out, mode="clip")
     for c in range(1, len(flat)):
@@ -270,16 +302,27 @@ def _box_blocks(
     convention: str,
 ) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
     """Box stage of the fast path, one anchor column at a time (flat
-    spatial indices cols, C order).  For anchor cols[k], one t-prefix
-    gather per cell puts every cell's sheared samples on a common axis of
-    n_c = t_len + 2 * top cuts from c_lo = t_lo - top + 1, top being the
-    family's longest t length.  _fold sums boxes out of that gather's
-    spatial prefix p and the weight prefix pw one factor at a time, last
-    first, and p's first factor one run of its options per block.  Yields
-    (k, bs, bv, wv) per block of boxes bs.. of _box_tables: bv (n_c, nb) is
-    stored cuts-major, bv[c, j] being the sum of omega * |f| over box j of
-    the anchor at sheared t < c_lo + c, and wv (nb,) holds the boxes'
-    weighted volumes; both view per-call buffers the next block refills.
+    spatial indices cols, C order).  For anchor cols[k], one flat take
+    from the t-prefix cf puts every cell's sheared samples on a common axis
+    of n_c = t_len + 2 * top cuts from c_lo = t_lo - top + 1, top being the
+    family's longest t length; their spatial prefix p is summed in place
+    into the interior of a zero-bordered buffer.  _fold sums boxes out of
+    p and the weight prefix pw one factor at a time, last first, and p's
+    first factor one run of its options per block.  Yields (k, bs, bv, wv)
+    per block of boxes bs.. of _box_tables: bv (n_c, nb) is stored
+    cuts-major, bv[c, j] being the sum of omega * |f| over box j of the
+    anchor at sheared t < c_lo + c, and wv (nb,) holds the boxes' weighted
+    volumes; both view per-call buffers the next block refills.
+
+    The working set is allocated once per call: cf (n_sp, t_len + 1); pw
+    over the extents widened by the margins; the gather's flat indices and
+    values, n_sp * n_c each; p, prod(w_a + 1) * n_c; the corner tables,
+    sum_i sum_(a in factor i) w_a * 2^N_i * n_o_i * 8 bytes for p and as
+    many again for pw, w_a being the extents' width on axis a, N_i factor
+    i's axis count and n_o_i its box options; per factor a fold result
+    and a corner slab for p and for pw; and the cuts-major block, which
+    _BLOCK_BYTES sizes.  A column allocates only its shear (n_sp,) and,
+    for a factor of several axes, the sum of their corner rows.
     """
     grid = f.grid
     sp, L = 2 * grid.n, grid.t_len
@@ -291,49 +334,60 @@ def _box_blocks(
     n_sp = coords_sp.shape[0]
     omega_flat = omega.values.reshape(-1)
     # t-prefix of |f| per spatial cell; weight prefix over the extended window
-    cf = prefix_sums(np.abs(f.values).reshape(n_sp, L), [1])
+    cf = prefix_sums(np.abs(f.values).reshape(n_sp, L), [1]).reshape(-1)
     pw = prefix_sums(omega.expanded_spatial(margins), range(sp))
 
-    # cut values c with t-prefix index clip(c + shear - t_lo, 0, L)
-    c_lo = grid.t_lo - top + 1
+    # cut j, at t = c_lo + j, of cell r reads the t-prefix at
+    # clip(c_lo + j + shear_r - t_lo, 0, L), flat index r * (L + 1) + that
     n_c = L + 2 * top
-    cvals = np.arange(c_lo, c_lo + n_c, dtype=np.int64)
+    cuts = np.arange(1 - top, 1 - top + n_c, dtype=np.int64)
+    row_start = np.arange(n_sp, dtype=np.int64)[:, None] * (L + 1)
     lows = np.asarray(grid.lows[:sp], dtype=np.int64)
     # p spans the extents (f vanishes outside), pw the extended window, so
     # only p's corners are ever clipped
     p_dims, w_dims = np.add(grid.spatial_shape, 1), np.asarray(pw.shape)
     axs = [list(grid.factor_axes(i)) for i in range(len(grid.factors))]
-    corners = [_factor_options(family, i)[2] for i in range(len(axs))]
-    n_o = [c.shape[1] for c in corners]
+    p_tabs = _corner_tables(family, p_dims, (0,) * sp)
+    w_tabs = _corner_tables(family, w_dims, margins)
+    n_o = [tabs[0].shape[2] for tabs in p_tabs]
     inner = int(np.prod(n_o[1:]))
     run = min(n_o[0], max(1, _BLOCK_BYTES // (2 * n_c * 8 * inner)))
     p_merged = [int(np.prod(p_dims[ax])) for ax in axs] + [n_c]
     w_merged = [int(np.prod(w_dims[ax])) for ax in axs]
+    idx = np.empty((n_sp, n_c), dtype=np.int64)
+    cw = np.empty((n_sp, n_c))
+    # the gather's spatial prefix, summed in place inside a zero border
+    p_pad = np.zeros((*p_dims, n_c))
+    p_in = p_pad[(slice(1, None),) * sp]
+    p, pw = p_pad.reshape(p_merged), pw.reshape(w_merged)
     # per factor a fold result and a corner slab of p and of pw, and one
-    # cuts-major block, allocated once per call
+    # cuts-major block
     p_bufs = [np.empty((2, *p_merged[:i], n_o[i] if i else run, *n_o[i + 1 :], n_c)) for i in range(len(axs))]
     w_bufs = [np.empty((2, *w_merged[:i], *n_o[i:])) for i in range(len(axs))]
     cm = np.empty(p_bufs[0][0].size)
     for k, col in enumerate(cols):
         anchor = coords_sp[col]
         shear = _shear(grid.mu, anchor[None, :], coords_sp, convention)[0]
-        idx = np.clip(cvals[None, :] + (shear - grid.t_lo)[:, None], 0, L)
-        cw = cf[np.arange(n_sp)[:, None], idx] * omega_flat[:, None]
-        # p outlives its column: freeing every per-column array at once lets
-        # the C allocator hand back the heap top, which the next column
-        # faults in again (166k minor faults per n=1 size-24 dyadic call)
-        p = prefix_sums(cw.reshape(*grid.spatial_shape, n_c), range(sp)).reshape(p_merged)
-        del idx, cw
-        base, sums, wv = anchor - lows, p, pw.reshape(w_merged)
+        np.add(shear[:, None], cuts, out=idx)
+        np.clip(idx, 0, L, out=idx)
+        idx += row_start
+        np.take(cf, idx, out=cw, mode="clip")
+        cw *= omega_flat[:, None]
+        np.cumsum(cw.reshape(p_in.shape), axis=0, out=p_in)
+        for ax in range(1, sp):
+            np.cumsum(p_in, axis=ax, out=p_in)
+        base = anchor - lows
+        sums, wv = p, pw
         for i in reversed(range(len(axs))):
-            wv = _fold(wv, i, corners[i] + (base + margins)[axs[i]], w_dims[axs[i]], *w_bufs[i])
+            wv = _fold(wv, i, _corner_rows(w_tabs[i], base[axs[i]]), *w_bufs[i])
             if i:
-                sums = _fold(sums, i, corners[i] + base[axs[i]], p_dims[axs[i]], *p_bufs[i])
+                sums = _fold(sums, i, _corner_rows(p_tabs[i], base[axs[i]]), *p_bufs[i])
         if not np.all(wv > 0):
             raise InvariantViolation("weighted volume must be positive on every box")
+        flat = _corner_rows(p_tabs[0], base[axs[0]])
         for o in range(0, n_o[0], run):
-            pos = corners[0][:, o : o + run] + base[axs[0]]
-            box_sums = _fold(sums, 0, pos, p_dims[axs[0]], *p_bufs[0][:, : pos.shape[1]])
+            pos = flat[:, o : o + run]
+            box_sums = _fold(sums, 0, pos, *p_bufs[0][:, : pos.shape[1]])
             bv = cm[: box_sums.size].reshape(n_c, -1)
             np.copyto(bv, box_sums.reshape(-1, n_c).T)
             yield k, o * inner, bv, wv[o : o + run].reshape(-1)

@@ -611,7 +611,8 @@ def grid_from_config(cfg: dict) -> GridSpec:
 
     Keys: n (required); extents as an integer size S meaning [0, S-1] on
     every axis, a single [lo, hi] pair, or a full list of d pairs;
-    factors (optional); mu (optional, default 1).
+    factors (optional) a list of integer block sizes; mu (optional,
+    default 1).
     """
     if "n" not in cfg:
         raise DomainError("grid config requires 'n'")
@@ -629,12 +630,11 @@ def grid_from_config(cfg: dict) -> GridSpec:
         extents = tuple(tuple(e) for e in ext)
     else:
         raise DomainError(f"extents must be a size, a [lo, hi] pair or a list of pairs, got {ext!r}")
-    return GridSpec(
-        n=n,
-        extents=extents,
-        factors=tuple(int(N) for N in cfg.get("factors", ())),
-        mu=_as_int(cfg.get("mu", 1), "mu"),
-    )
+    factors = cfg.get("factors", ())
+    if not isinstance(factors, seq):
+        raise DomainError(f"factors must be a list of sizes, got {factors!r}")
+    # GridSpec passes each factor size through _as_int
+    return GridSpec(n=n, extents=extents, factors=tuple(factors), mu=_as_int(cfg.get("mu", 1), "mu"))
 
 
 def grid_to_config(grid: GridSpec) -> dict:

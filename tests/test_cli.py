@@ -72,6 +72,11 @@ def test_unknown_config_key_exits_2_on_every_command(tmp_path, command):
         ("weaktype", {"sizes": 8}),
         ("cover", {"rects": 3}),
         ("cover", {"cross": 1.5}),
+        # sizes and factors list integers; a float entry used to be truncated
+        ("weaktype", {"sizes": [4.5], "trials": 1, "p_values": [2.0]}),
+        ("weaktype", {"sizes": [True], "trials": 1}),
+        ("maximal", {"size": 4, "factors": [1.5, 1.5]}),
+        ("maximal", {"size": 4, "factors": [False, 2]}),
     ],
 )
 def test_config_value_of_wrong_type_exits_2(tmp_path, capsys, command, config):
@@ -80,6 +85,13 @@ def test_config_value_of_wrong_type_exits_2(tmp_path, capsys, command, config):
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.startswith("error:")
     assert not (tmp_path / "out" / "config_echo.json").exists()
+
+
+def test_config_float_list_takes_any_number(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"sizes": [4], "trials": 1, "p_values": [2]}))
+    assert main(["weaktype", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    assert json.loads((tmp_path / "config_echo.json").read_text())["p_values"] == [2]
 
 
 @pytest.mark.parametrize(

@@ -298,6 +298,35 @@ def test_fast_path_chunking_is_inert(monkeypatch):
         np.testing.assert_array_equal(whole, maximal_field_reference(f, w, fam).values)
 
 
+def test_fast_path_corner_tables_clip_at_both_ends():
+    """Full families on multi-axis factors, negative origins and mu = -2:
+    on every spatial axis some box corner falls below the extents and some
+    above them, so the fast path's per-axis corner tables clip at both
+    ends.  The field equals the reference bitwise under both conventions,
+    and argmax_rectangle reads the field's value at the extents' corners."""
+    rng = np.random.default_rng(41)
+    grids = [
+        GridSpec(n=1, extents=((-4, 0), (-3, 0), (-2, 1)), factors=(2,), mu=-2),
+        GridSpec(n=2, extents=((-3, -1), (-1, 0), (-2, -1), (-3, -1), (-2, 0)), factors=(1, 3), mu=-2),
+        GridSpec(n=2, extents=((-2, 0), (-3, -2), (-1, 0), (-3, -1), (-1, 1)), factors=(3, 1), mu=-2),
+    ]
+    for g in grids:
+        fam = RectangleFamily(g)
+        for i in range(len(g.factors)):
+            corners = heisenberg._factor_options(fam, i)[2]
+            for j, a in enumerate(g.factor_axes(i)):
+                at = corners[..., j][None] + np.arange(g.shape[a])[:, None, None]
+                assert at.min() < 0 and at.max() > g.shape[a], (g, a)
+        f = _int_field(g, rng, -4, 6)
+        w = _int_hash_weight(g)
+        for convention in (SHIFT_STANDARD, SHIFT_SWAPPED):
+            fast = maximal_field(f, w, fam, convention).values
+            np.testing.assert_array_equal(fast, maximal_field_reference(f, w, fam, convention).values)
+            for x in (g.lows, tuple(hi for _, hi in g.extents)):
+                _, val = argmax_rectangle(f, w, x, fam, convention)
+                assert val == fast[tuple(c - lo for c, lo in zip(x, g.lows))]
+
+
 # ---------------------------------------------------------------------------
 # group form against the twisted form
 

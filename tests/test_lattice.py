@@ -136,6 +136,18 @@ def test_grid_config_round_trip(tmp_path):
     assert grid_from_config({"n": 1, "extents": 3, "mu": 1}) == GridSpec.cube(1, 3)
 
 
+@pytest.mark.parametrize("factors", [5, "2", [1.5, 1.5], [True, 1], [1, None]])
+def test_grid_config_rejects_malformed_factors(tmp_path, factors):
+    # a non-list used to raise TypeError, float entries were truncated
+    cfg = {"n": 1, "extents": 3, "factors": factors}
+    with pytest.raises(DomainError):
+        grid_from_config(cfg)
+    p = tmp_path / "grid.json"
+    p.write_text(json.dumps(cfg))
+    with pytest.raises(DomainError):
+        load_grid_config(p)
+
+
 # ---------------------------------------------------------------------------
 # rectangles
 
