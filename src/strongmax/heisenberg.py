@@ -40,6 +40,7 @@ from .lattice import (
     Rectangle,
     RectangleFamily,
     ScalarField,
+    _BLOCK_BYTES,
     prefix_sums,
 )
 from .weights import WeightField
@@ -236,17 +237,6 @@ def _check_inputs(f: ScalarField, omega: WeightField, family: RectangleFamily, c
 
 # ---------------------------------------------------------------------------
 # fast path: prefix sums over sheared gathers
-
-
-# Working-set budget of the fast kernel's box block, in bytes: its box sums
-# and their cuts-major copy bv, 2 * n_c * 8 per box (the corner slab is as
-# large again); a block is a run of the first factor's options, one at
-# least.  Every other array of _box_blocks is per call, sized by the grid
-# and the family (see its docstring).  From bench/run.py runs on all four
-# workloads (CHANGES.md): 1 << 20 .. 1 << 22 ran alike within the host's
-# noise, with peak RSS growing in the budget; 1 << 26 ran 30-50% slower at
-# 2.5-5x the RSS.
-_BLOCK_BYTES = 1 << 21
 
 
 def _corner_tables(family: RectangleFamily, dims: np.ndarray, shift) -> list[list[np.ndarray]]:

@@ -53,6 +53,19 @@ class InvariantViolation(RuntimeError):
     """A structural invariant failed at run time."""
 
 
+# Working-set budget of the lab's blocked loops, in bytes, one constant for
+# all of them.  heisenberg._box_blocks sizes its box block by it: the box
+# sums and their cuts-major copy bv, 2 * n_c * 8 per box (the corner slab is
+# as large again); a block is a run of the first factor's options, one at
+# least.  weights._subset_sums sizes its rows of subset permutations by it:
+# an index row and its gathered, summed weights, 2 * V * 8 per row for a
+# rectangle of V cells, one row at least.  From bench/run.py runs on all
+# four workloads (CHANGES.md): 1 << 20 .. 1 << 22 ran alike within the
+# host's noise, with peak RSS growing in the budget; 1 << 26 ran 30-50%
+# slower at 2.5-5x the RSS.
+_BLOCK_BYTES = 1 << 21
+
+
 def _as_int(x, what: str) -> int:
     if isinstance(x, (bool, float)) or (isinstance(x, np.generic) and not isinstance(x, np.integer)):
         raise DomainError(f"{what} must be an integer, got {x!r}")

@@ -15,6 +15,7 @@ cells of smallest weight, so eta is computed exactly by a partial sort.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -26,6 +27,7 @@ from .lattice import (
     InvariantViolation,
     RangeError,
     Rectangle,
+    _BLOCK_BYTES,
     count_rectangles,
     enumerate_rectangles,
     random_rectangle,
@@ -152,17 +154,17 @@ class WeightField:
         return out
 
     def scaled(self, c: float) -> "WeightField":
-        """The weight c*w, c > 0."""
-        if not c > 0:
-            raise RangeError(f"scale must be positive, got {c}")
+        """The weight c*w, c > 0 and finite."""
+        if not (math.isfinite(c) and c > 0):
+            raise RangeError(f"scale must be finite and positive, got {c}")
         base = self.cell_rule
         return WeightField(self.grid, lambda coords: c * base(coords), f"scaled:{c!r}|{self.descriptor}")
 
 
 def make_constant_weight(grid: GridSpec, value: float = 1.0) -> WeightField:
-    if not value > 0:
-        raise RangeError(f"constant weight must be positive, got {value}")
     v = float(value)
+    if not (math.isfinite(v) and v > 0):
+        raise RangeError(f"constant weight must be finite and positive, got {value}")
     rule = lambda coords: np.full(coords.shape[:-1], v)
     return WeightField(grid, rule, f"constant:{v!r}")
 
@@ -182,11 +184,13 @@ def make_power_weight(
     exps = tuple(float(a) for a in exponents)
     if len(exps) != sp:
         raise DomainError(f"expected {sp} exponents")
-    if any(a <= -1 for a in exps):
-        raise RangeError(f"exponents must be > -1, got {exps}")
+    if not all(math.isfinite(a) and a > -1 for a in exps):
+        raise RangeError(f"exponents must be finite and > -1, got {exps}")
     ctrs = tuple(float(c) for c in (centers if centers is not None else (0.0,) * sp))
     if len(ctrs) != sp:
         raise DomainError(f"expected {sp} centers")
+    if not all(math.isfinite(c) for c in ctrs):
+        raise RangeError(f"centers must be finite, got {ctrs}")
 
     def rule(coords: np.ndarray) -> np.ndarray:
         out = np.ones(coords.shape[:-1])
@@ -323,18 +327,39 @@ class ComparabilityReport:
                 writer.writerow(flat + [row.volume, repr(row.eta_exact), "" if row.eta_mc is None else repr(row.eta_mc)])
 
 
+def _subset_sums(vals: np.ndarray, k: int, samples: int, rng: np.random.Generator) -> np.ndarray:
+    """Sums of `samples` random subsets of vals, each of m cells with m
+    uniform on [k, V], the cells a uniform m-subset.
+
+    All sizes are drawn first.  A subset is the first m entries of a
+    random permutation (Fisher-Yates), so a block of rows is one
+    rng.permuted along axis 1, a gather and an in-place cumsum read at
+    m - 1.  Blocks hold at most _BLOCK_BYTES of indices and prefixes, one
+    row at least; permuted draws row by row, so the block size does not
+    change the sums.
+    """
+    V = vals.size
+    m = rng.integers(k, V + 1, size=samples)
+    rows = min(samples, max(1, _BLOCK_BYTES // (2 * V * 8)))
+    idx = np.empty((rows, V), dtype=np.intp)
+    pre = np.empty((rows, V))
+    sums = np.empty(samples)
+    for s in range(0, samples, rows):
+        b = min(rows, samples - s)
+        block, acc = idx[:b], pre[:b]
+        block[...] = np.arange(V)
+        rng.permuted(block, axis=1, out=block)
+        np.take(vals, block, out=acc)
+        np.cumsum(acc, axis=1, out=acc)
+        sums[s : s + b] = acc[np.arange(b), m[s : s + b] - 1]
+    return sums
+
+
 def _mc_eta(w: WeightField, r: Rectangle, samples: int, rng: np.random.Generator, threshold: float) -> float:
     """Monte Carlo upper estimate: random admissible subsets of r's cells."""
     vals = w.rectangle_cell_weights(r)
-    V = vals.size
-    k = int(np.floor(V * threshold)) + 1
-    total = vals.sum()
-    best = 1.0
-    for _ in range(samples):
-        m = int(rng.integers(k, V + 1))
-        pick = rng.choice(V, size=m, replace=False)
-        best = min(best, float(vals[pick].sum() / total))
-    return best
+    k = int(np.floor(vals.size * threshold)) + 1
+    return min(1.0, float(_subset_sums(vals, k, samples, rng).min() / vals.sum()))
 
 
 def eta_survey(

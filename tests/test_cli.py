@@ -100,6 +100,11 @@ def test_config_float_list_takes_any_number(tmp_path):
         *[([command, "--weight", "constant:-1"], 2) for command in COMMANDS],
         (["maximal", "--size", "4", "--weight", "power:1.0,1.0@-1.5,-1.5"], 3),
         (["weaktype", "--sizes", "4", "--trials", "1", "--weight", "power:1.0,1.0@-1.5,-1.5"], 3),
+        # non-finite parameters are usage errors, not invariant violations
+        *[([command, "--weight", "constant:inf"], 2) for command in COMMANDS],
+        (["maximal", "--weight", "power:1.0,nan"], 2),
+        (["maximal", "--weight", "power:1.0,1.0@inf,0.0"], 2),
+        (["eta", "--weight", "power:nan,1.0@0.0,-inf"], 2),
     ],
 )
 def test_failed_run_leaves_no_echo(tmp_path, argv, code):

@@ -6,6 +6,7 @@ library takes.
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from strongmax import (
     make_power_weight,
     maximal_field,
     parse_weight,
+    weights,
 )
 
 
@@ -48,6 +50,23 @@ def test_constant_weight():
     assert np.all(w.values == 2.5)
     with pytest.raises(RangeError):
         make_constant_weight(g, 0.0)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_non_finite_weight_parameters_are_range_errors(bad):
+    # used to pass the sign checks and fail later as an invariant violation
+    g = _line_grid(4)
+    with pytest.raises(RangeError):
+        make_constant_weight(g, bad)
+    with pytest.raises(RangeError):
+        make_power_weight(g, (1.0, bad))
+    with pytest.raises(RangeError):
+        make_power_weight(g, (1.0, 0.0), centers=(bad, 0.0))
+    with pytest.raises(RangeError):
+        make_constant_weight(g).scaled(bad)
+    for text in [f"constant:{bad}", f"power:1.0,{bad}", f"power:1.0,1.0@{bad},0.0"]:
+        with pytest.raises(RangeError):
+            parse_weight(g, text)
 
 
 def test_power_weight_profile():
@@ -319,6 +338,54 @@ def test_eta_survey_monte_carlo_dominates():
         assert row.eta_mc is not None
         assert row.eta_mc >= row.eta_exact - 1e-12
     assert rep.mc_global >= rep.global_eta - 1e-12
+
+
+def test_subset_sums_match_a_literal_loop_on_the_same_stream():
+    # the loop draws the sizes, then one permutation per sample; only the
+    # summation order differs, so V * eps bounds the relative gap
+    vals = np.random.default_rng(3).random(23) + 0.5
+    V, k, samples = 23, 12, 50
+    got = weights._subset_sums(vals, k, samples, np.random.default_rng(8))
+    rng = np.random.default_rng(8)
+    m = rng.integers(k, V + 1, size=samples)
+    want = np.array([vals[rng.permutation(V)[:mi]].sum() for mi in m])
+    np.testing.assert_allclose(got, want, rtol=V * 2.0**-52, atol=0)
+
+
+def test_subset_sampler_distribution_is_exact():
+    # weights 2^i: a subset's sum is its bit mask, so every sum names one subset
+    vals = 2.0 ** np.arange(5)
+    V, k, samples = 5, 3, 3000
+    sums = weights._subset_sums(vals, k, samples, np.random.default_rng(2024))
+    masks = sums.astype(np.int64)
+    np.testing.assert_array_equal(masks, sums)
+    sizes = np.array([bin(x).count("1") for x in masks])
+    assert sizes.min() >= k
+    admissible = [m for m in range(1 << V) if bin(m).count("1") >= k]
+    assert len(admissible) == 16
+    observed = np.array([np.count_nonzero(masks == m) for m in admissible])
+    assert observed.sum() == samples and np.all(observed > 0)
+    # m uniform on [k, V], then a uniform m-subset
+    p = np.array([1.0 / (V - k + 1) / math.comb(V, bin(m).count("1")) for m in admissible])
+    assert p.sum() == pytest.approx(1.0)
+    expected = samples * p
+    chi2 = float(((observed - expected) ** 2 / expected).sum())
+    assert chi2 < 37.7  # 99.9% quantile of chi-square with 15 degrees of freedom
+
+
+def test_eta_survey_monte_carlo_ignores_block_size_and_leaves_exact_columns(monkeypatch):
+    g = GridSpec.cube(1, 5)
+    w = make_perturbed_weight(g, amplitude=0.5, seed=4)
+    kw = dict(rectangle_budget=40, seed=9)
+    default = eta_survey(w, g, subset_samples=64, **kw)
+    assert not default.exhaustive  # rectangles and subsets share one stream
+    monkeypatch.setattr(weights, "_BLOCK_BYTES", 1)  # one row per block
+    assert eta_survey(w, g, subset_samples=64, **kw) == default
+    plain = eta_survey(w, g, subset_samples=0, **kw)
+    assert [(r.bounds, r.volume, r.eta_exact) for r in plain.rows] == [
+        (r.bounds, r.volume, r.eta_exact) for r in default.rows
+    ]
+    assert plain.global_eta == default.global_eta
 
 
 def test_eta_report_files(tmp_path):
