@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import csv
 import itertools
+import math
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
@@ -313,6 +314,11 @@ def _box_blocks(
     and a corner slab for p and for pw; and the cuts-major block, which
     _BLOCK_BYTES sizes.  A column allocates only its shear (n_sp,) and,
     for a factor of several axes, the sum of their corner rows.
+
+    Range: the set-up raises RangeError unless S = sum(omega * |f|) and
+    the weight prefix's total, times the longest t length, stay finite
+    with a factor 2^(2n + 1) to spare, so every box sum, weighted volume
+    and average of both stages is a finite float (or +inf for a quotient).
     """
     grid = f.grid
     sp, L = 2 * grid.n, grid.t_len
@@ -324,8 +330,20 @@ def _box_blocks(
     n_sp = coords_sp.shape[0]
     omega_flat = omega.values.reshape(-1)
     # t-prefix of |f| per spatial cell; weight prefix over the extended window
-    cf = prefix_sums(np.abs(f.values).reshape(n_sp, L), [1]).reshape(-1)
-    pw = prefix_sums(omega.expanded_spatial(margins), range(sp))
+    with np.errstate(over="ignore"):
+        cf = prefix_sums(np.abs(f.values).reshape(n_sp, L), [1])
+        pw = prefix_sums(omega.expanded_spatial(margins), range(sp))
+        S = float((omega_flat * cf[:, -1]).sum())
+    # a fold adds at most 2^(2n) prefix entries of at most S (of omega: at
+    # most pw's total W), and a numerator subtracts two such sums over one
+    # weighted volume times a t length; so every float of both stages is
+    # finite while S and W * top are, with room for 2^(2n + 1)
+    room = 2.0 ** (sp + 1)
+    if not math.isfinite(S * room):
+        raise RangeError(f"omega * |f| sums to {S!r}: its box sums overflow float64")
+    if not math.isfinite(float(pw[(-1,) * sp]) * top * room):
+        raise RangeError("the weighted volumes of the family's boxes overflow float64")
+    cf = cf.reshape(-1)
 
     # cut j, at t = c_lo + j, of cell r reads the t-prefix at
     # clip(c_lo + j + shear_r - t_lo, 0, L), flat index r * (L + 1) + that
@@ -383,6 +401,18 @@ def _box_blocks(
             yield k, o * inner, bv, wv[o : o + run].reshape(-1)
 
 
+# the unit-slice bound's rounding margin: see _column_values
+_SHRINK = 1.0 - 8 * np.finfo(np.float64).eps
+
+
+def _prunes(t_len: int, lens: list[int]) -> bool:
+    """Whether the interval stage prunes boxes: when the averages of the t
+    lengths past 1, sum (t_len + L - 1), are at least twice the n_c - 1
+    unit slices that the bound reads."""
+    n_c = t_len + 2 * lens[-1]
+    return sum(t_len + Lt - 1 for Lt in lens[1:]) >= 2 * (n_c - 1)
+
+
 def _column_values(
     f: ScalarField,
     omega: WeightField,
@@ -409,17 +439,101 @@ def _column_values(
     grain g below 2^53 * g.  Past that, prefix differences cancel: each
     carries an error of about |C| * eps for the prefix C it is taken from,
     so a small average next to a large spike loses its relative accuracy.
+
+    Pruning.  Where _prunes holds (long t lengths on a short t extent, as
+    full families have) every block first takes the averages of its boxes
+    over the n_c - 1 unit slices, u = (bv[1:] - bv[:-1]) / wv, into a
+    per-call buffer.  Rows top - 1 .. top - 2 + t_len of u are the L = 1
+    averages, bitwise, and seed out[k]; the boxes attaining that maximum at
+    some t (at most t_len of them) then run every length.  Bound: an
+    interval's numerator is the sum of its unit slices' differences of the
+    same bv floats, so in exact arithmetic its average is at most its
+    largest unit average; the subtract, product and divide round it by at
+    most (1 + eps/2)^2 / (1 - eps/2)^3 < 1 + 4 eps (on averages above the
+    smallest normal float).  Slice c lies in an interval through t index i
+    iff c - 2 * top + 2 <= i <= c, so with thr[c] the least out[k] over
+    those i, a box none of whose slices has u[c] * (1 + 4 eps) > thr[c]
+    cannot raise out[k] anywhere, and skipping it keeps every bit of the
+    output.  The code tests u[c] > thr[c] * (1 - 8 eps), rounded, which
+    keeps every such box and scales the thresholds instead of u; a boolean
+    buffer of u's shape holds the test.  The margin is a rounding bound and
+    needs no data-dependent slack: a slack would let zero boxes beat zero
+    thresholds, and skipping those is what prunes point masses and sparse
+    data.  The survivors are gathered, in parts, into u's buffer and run
+    the lengths past 1 through one table of all their intervals.
     """
-    grid = f.grid
-    top = family.t_len_choices()[-1]
-    wins = {Lt: np.arange(grid.t_len)[:, None] + np.arange(Lt) for Lt in family.t_len_choices()}
-    out = np.zeros((len(cols), grid.t_len))
-    for k, _, bv, wv in _box_blocks(f, omega, family, cols, convention):
-        for Lt, win in wins.items():
-            cnt = grid.t_len + Lt - 1
-            best = _averages(bv, wv, top - Lt, Lt, cnt).max(axis=1)
-            np.maximum(out[k], best[win].max(axis=1), out=out[k])
+    T = f.grid.t_len
+    lens = family.t_len_choices()
+    top = lens[-1]
+    out = np.zeros((len(cols), T))
+    blocks = _box_blocks(f, omega, family, cols, convention)
+    if not _prunes(T, lens):
+        wins = {Lt: np.arange(T)[:, None] + np.arange(Lt) for Lt in lens}
+        for k, _, bv, wv in blocks:
+            for Lt, win in wins.items():
+                best = _averages(bv, wv, top - Lt, Lt, T + Lt - 1).max(axis=1)
+                np.maximum(out[k], best[win].max(axis=1), out=out[k])
+        return out
+    # the intervals of t length past 1 by lower cut, upper cut and length,
+    # and per t index the ones through it
+    longer = lens[1:]
+    counts = [T + Lt - 1 for Lt in longer]
+    lo = np.concatenate([np.arange(top - Lt, top + T - 1) for Lt in longer])
+    starts = np.cumsum([0] + counts[:-1])
+    ivals = (
+        lo,
+        lo + np.repeat(longer, counts),
+        np.repeat(np.asarray(longer, dtype=np.float64), counts)[:, None],
+        np.concatenate([s + np.arange(T)[:, None] + np.arange(Lt) for s, Lt in zip(starts, longer)], axis=1),
+    )
+    n_s = T + 2 * top - 1
+    # the t indices each unit slice reaches, T standing for none (an inf pad)
+    at = np.arange(n_s)[:, None] - np.arange(2 * top - 1)
+    reach = np.where((at >= 0) & (at < T), at, T)
+    padded = np.full(T + 1, np.inf)
+    u_buf = mask_buf = None
+    for k, _, bv, wv in blocks:
+        nb = bv.shape[1]
+        if u_buf is None:
+            # the first block is the widest; survivors go through in parts
+            # whose two interval tables take half the per-length loop's
+            # largest average slab, and as _prunes makes len(lo) >= 2 * n_s,
+            # a part's gathered prefixes fit u's buffer
+            u_buf, mask_buf = np.empty(n_s * nb), np.empty(n_s * nb, dtype=bool)
+            part = max(1, (T + top - 1) * nb // (4 * len(lo)))
+        u = u_buf[: n_s * nb].reshape(n_s, nb)
+        np.subtract(bv[1:], bv[:-1], out=u)
+        u /= wv
+        seed = u[top - 1 : top - 1 + T]
+        np.maximum(out[k], seed.max(axis=1), out=out[k])
+        heads = seed.argmax(axis=1)
+        _raise_on_intervals(out[k], bv[:, heads], wv[heads], ivals)
+        padded[:T] = out[k]
+        mask = mask_buf[: u.size].reshape(u.shape)
+        np.greater(u, padded[reach].min(axis=1)[:, None] * _SHRINK, out=mask)
+        alive = mask.any(axis=0)
+        alive[heads] = False
+        keep = np.flatnonzero(alive)
+        for i in range(0, len(keep), part):
+            boxes = keep[i : i + part]
+            X = u_buf[: (n_s + 1) * len(boxes)].reshape(n_s + 1, -1)
+            np.take(bv, boxes, axis=1, out=X)
+            _raise_on_intervals(out[k], X, wv[boxes], ivals)
     return out
+
+
+def _raise_on_intervals(row: np.ndarray, bv: np.ndarray, wv: np.ndarray, ivals: tuple) -> None:
+    """Raise row, one column's values, to the maxima over the boxes of bv
+    (cuts-major) and wv of the intervals ivals = (lower cuts, upper cuts,
+    lengths, per t the intervals through it); each average is computed as
+    _averages computes it."""
+    lo, hi, lens, through = ivals
+    num = np.take(bv, hi, axis=0)
+    den = np.take(bv, lo, axis=0)
+    num -= den
+    np.multiply(wv, lens, out=den)
+    num /= den
+    np.maximum(row, num.max(axis=1)[through].max(axis=1), out=row)
 
 
 def _averages(bv: np.ndarray, wv: np.ndarray, lo: int, Lt: int, cnt: int) -> np.ndarray:

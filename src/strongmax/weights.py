@@ -92,13 +92,22 @@ class WeightField:
         sp = 2 * self.grid.n
         axes = [np.arange(lo, hi + 1, dtype=np.int64) for lo, hi in self.grid.extents[:sp]]
         mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-        vals = np.array(self.cell_rule(mesh), dtype=np.float64)
+        vals = self._tabulate(mesh)
         if vals.shape != self.grid.spatial_shape:
             raise InvariantViolation(f"cell rule gave shape {vals.shape}, expected {self.grid.spatial_shape}")
         if not np.all(np.isfinite(vals)) or not np.all(vals > 0):
             raise InvariantViolation("weights must be finite and strictly positive")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
+
+    def _tabulate(self, coords: np.ndarray) -> np.ndarray:
+        """The rule at coords as float64; an overflow inside the rule is a
+        range error of the weight's parameters, not a broken rule."""
+        try:
+            with np.errstate(over="raise"):
+                return np.array(self.cell_rule(coords), dtype=np.float64)
+        except FloatingPointError as exc:
+            raise RangeError(f"weight {self.descriptor!r} overflows float64") from exc
 
     def full_values(self) -> np.ndarray:
         """Weights broadcast over the whole grid shape (read-only view)."""
@@ -143,11 +152,10 @@ class WeightField:
         ]
         mesh = np.meshgrid(*axes, indexing="ij")
         coords = np.stack(mesh, axis=-1)
-        out = self.cell_rule(coords)
+        out = self._tabulate(coords)
         if out.shape != shape:
             raise InvariantViolation("cell rule returned a wrong shape")
         interior = tuple(slice(m, m + w) for w, m in zip(self.grid.spatial_shape, margins))
-        out = np.array(out, dtype=np.float64)
         out[interior] = self.values
         if not np.all(np.isfinite(out)) or not np.all(out > 0):
             raise InvariantViolation("extended weights must stay finite and positive")

@@ -139,6 +139,35 @@ def test_malformed_csv_input_exits_2(tmp_path, capsys, text):
     _assert_input_error(capsys, ["maximal", "--input", str(path), "--out", str(tmp_path)], path)
 
 
+@pytest.mark.parametrize(
+    "weight",
+    [
+        # the power rule overflows on the grid, the perturbation of a finite
+        # constant overflows, and a finite constant overflows the kernel's
+        # box sums
+        "power:400.0,1.0",
+        "perturbed:0.5:1|constant:1.7e308",
+        "constant:1e308",
+    ],
+)
+def test_overflowing_weight_exits_2(tmp_path, capsys, weight):
+    argv = ["maximal", "--size", "8", "--weight", weight, "--out", str(tmp_path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "overflow" in err
+    assert not (tmp_path / "config_echo.json").exists()
+
+
+def test_overflowing_input_field_exits_2(tmp_path, capsys):
+    # finite cells whose weighted sum overflows: a range error, not NaN
+    path = tmp_path / "huge.bin"
+    g = GridSpec.cube(1, 4)
+    write_field_binary(ScalarField(g, np.full(g.shape, 1e308)), path)
+    assert main(["maximal", "--input", str(path), "--out", str(tmp_path)]) == 2
+    assert "overflow" in capsys.readouterr().err
+    assert not (tmp_path / "maximal.csv").exists()
+
+
 def test_degenerate_weight_exits_3(tmp_path):
     # positive on the extents, zero on the expansion ring
     code = main([

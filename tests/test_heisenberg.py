@@ -9,6 +9,7 @@ order-independent.
 
 import itertools
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -38,6 +39,7 @@ from strongmax import (
     maximal_field,
     maximal_group_form,
     maximal_twisted_form,
+    parse_weight,
     read_field_binary,
     read_field_csv,
     twisted_shift,
@@ -46,6 +48,7 @@ from strongmax import (
     write_field_csv,
 )
 from strongmax import heisenberg
+from strongmax.harness import GENERATORS
 from strongmax.heisenberg import maximal_field_reference
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -248,6 +251,21 @@ def test_fast_path_error_stays_inside_prefix_envelope():
         nudged = fast.copy()
         nudged[worst] = ref[worst] + 1.01 * tol
         assert np.abs(nudged - ref).max() > tol
+
+
+def test_overflowing_sums_are_range_errors():
+    """Finite data whose weighted sums overflow float64 raise RangeError
+    before any box is summed, instead of returning NaN cells."""
+    g = GridSpec.cube(1, 4)
+    fam = RectangleFamily(g)
+    with pytest.raises(RangeError, match="overflow"):
+        maximal_field(ScalarField(g, np.full(g.shape, 1e308)), make_constant_weight(g), fam)
+    # a zero field still needs the weighted volumes
+    with pytest.raises(RangeError, match="weighted volumes"):
+        maximal_field(ScalarField.zeros(g), make_constant_weight(g, 1e308), fam)
+    # the largest sums that pass stay finite
+    f = ScalarField(g, np.full(g.shape, 1e300))
+    assert np.all(np.isfinite(maximal_field(f, make_constant_weight(g), fam).values))
 
 
 def test_fast_equals_reference_two_block_grid():
@@ -559,8 +577,145 @@ def _factor_cases():
         yield _int_field(g, rng, -4, 6), make_power_weight(g, (1.0,) * 4), fam, convention, x
 
 
+def _pruning_geometries():
+    """Grids and families on which the interval stage prunes: full families
+    with t extents of 5 to 12, n = 1 and 2, factor partitions, side and t
+    caps, |mu| > 1 and negative origins."""
+    G = GridSpec
+    return [
+        (G.cube(1, 7, mu=1), {}),
+        (G(n=1, extents=((-3, 1), (-2, 2), (-3, 8)), factors=(2,), mu=-3), {}),
+        (G(n=1, extents=((0, 5), (-1, 3), (-2, 7)), mu=2), {"max_sides": (3, 2), "max_t_len": 6}),
+        (G(n=2, extents=((0, 1), (-1, 0), (0, 1), (0, 1), (-3, 2)), factors=(2, 2), mu=-2), {}),
+        (G(n=2, extents=((0, 1), (0, 1), (-1, 0), (0, 1), (0, 7)), factors=(1, 3), mu=3), {"max_t_len": 5}),
+        (G(n=1, extents=((0, 2), (0, 2), (0, 4)), mu=1), {}),
+    ]
+
+
+def _pruning_fields(g, rng):
+    """Integer data, a point mass (whose zero boxes tie zero thresholds),
+    every generator, and real data with +-1e12 spikes."""
+    yield _int_field(g, rng, -4, 6)
+    yield ScalarField.point_mass(g, tuple(lo + (hi - lo) // 2 for lo, hi in g.extents))
+    for name in sorted(GENERATORS):
+        yield GENERATORS[name](g, rng)
+    vals = rng.normal(size=g.shape)
+    spikes = rng.random(g.shape) < 0.05
+    vals[spikes] = 1e12 * rng.choice([-1.0, 1.0], size=int(spikes.sum()))
+    yield ScalarField(g, vals)
+
+
+def test_box_pruning_changes_no_bit(monkeypatch):
+    rng = np.random.default_rng(808)
+    for g, family_kw in _pruning_geometries():
+        fam = RectangleFamily(g, **family_kw)
+        assert heisenberg._prunes(g.t_len, fam.t_len_choices()), (g, family_kw)
+        sp = 2 * g.n
+        power = make_power_weight(g, (1.0,) * sp)
+        weights = [make_constant_weight(g), _int_hash_weight(g), make_perturbed_weight(g, power, amplitude=0.5, seed=2)]
+        for i, f in enumerate(_pruning_fields(g, rng)):
+            w = weights[i % len(weights)]
+            for convention in (SHIFT_STANDARD, SHIFT_SWAPPED):
+                pruned = maximal_field(f, w, fam, convention).values
+                with monkeypatch.context() as mp:
+                    mp.setattr(heisenberg, "_prunes", lambda *_: False)
+                    np.testing.assert_array_equal(pruned, maximal_field(f, w, fam, convention).values)
+    # constant fields under perturbed weights: averages tie within an ulp,
+    # and a bound without its rounding margin changes a bit on both
+    for extents, mu, weight in [
+        (((0, 1), (0, 1), (0, 5)), -1, "perturbed:0.5:207|power:0.621817608258702,1.0"),
+        (((0, 3), (0, 3), (0, 4)), 0, "perturbed:0.5:219|power:0.8891682283772107,1.0"),
+    ]:
+        g = GridSpec(n=1, extents=extents, mu=mu)
+        f, w, fam = ScalarField.constant(g, 1.0), parse_weight(g, weight), RectangleFamily(g)
+        pruned = maximal_field(f, w, fam).values
+        with monkeypatch.context() as mp:
+            mp.setattr(heisenberg, "_prunes", lambda *_: False)
+            np.testing.assert_array_equal(pruned, maximal_field(f, w, fam).values)
+    # the selection keeps the per-length loop where the unit slices would
+    # cost more than the averages they can skip
+    assert not heisenberg._prunes(5, [1, 2, 4])
+    assert not heisenberg._prunes(4, [1, 2, 3, 4])
+
+
+def test_box_pruning_skips_boxes_and_stays_in_memory():
+    """On the benchmark's full-family field (n = 1, size 11, integer data)
+    maximal_field's allocation peak exceeds the per-length loop's by at
+    most the unit averages and their mask, (n_c - 1) * nb * 9 bytes for
+    blocks of nb boxes, and most boxes are skipped."""
+    g = GridSpec.cube(1, 11, mu=1)
+    fam = RectangleFamily(g)
+    f = _int_field(g, np.random.default_rng(3), -9, 10)
+    w = make_constant_weight(g)
+    want = maximal_field(f, w, fam).values
+    nb = next(heisenberg._box_blocks(f, w, fam, np.arange(1), SHIFT_STANDARD))[2].shape[1]
+    n_c = g.t_len + 2 * fam.t_len_choices()[-1]
+
+    def peak():
+        tracemalloc.start()
+        try:
+            got = maximal_field(f, w, fam).values
+            return tracemalloc.get_traced_memory()[1], got
+        finally:
+            tracemalloc.stop()
+
+    pruned, got = peak()
+    np.testing.assert_array_equal(got, want)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(heisenberg, "_prunes", lambda *_: False)
+        forced, got = peak()
+    np.testing.assert_array_equal(got, want)
+    assert pruned - forced <= (n_c - 1) * nb * 9, (pruned, forced)
+
+    # the lengths past 1 run on under 5% of the (column, box) pairs
+    runs = []
+    evaluate = heisenberg._raise_on_intervals
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(heisenberg, "_raise_on_intervals", lambda row, bv, *a: runs.append(bv.shape[1]) or evaluate(row, bv, *a))
+        np.testing.assert_array_equal(maximal_field(f, w, fam).values, want)
+    boxes = heisenberg._box_tables(fam)[0].shape[0]
+    assert 0 < sum(runs) < 0.05 * boxes * int(np.prod(g.spatial_shape))
+
+
+def test_box_pruning_keeps_a_box_that_wins_only_over_two_slices():
+    """At anchor u = 1 the unit maxima belong to the box {1} (500 at every t
+    but 3) and at t = 3 to {0, 1} (500 + 3d, d = 2^-31), whose longer
+    averages are lower.  The box {1, 2} leads at no t (500 - d at t = 2,
+    500 + 2d at t = 3) but averages 500 + d/2 over both, so its slice at
+    t = 3 must keep it against thresholds of 500, though it tops no slice
+    and beats them by under 2e-12 relative.  Every sum here is exact."""
+    g = GridSpec(n=1, extents=((0, 2), (0, 0), (0, 5)), mu=1)
+    fam = RectangleFamily(g, max_sides=(2, 1))
+    assert heisenberg._prunes(g.t_len, fam.t_len_choices())
+    d = 2.0**-31
+    vals = np.zeros(g.shape)
+    vals[1, 0, :] = 500.0
+    vals[1, 0, 3] = 0.0
+    vals[2, 0, 2], vals[2, 0, 3], vals[0, 0, 3] = 500.0 - 2 * d, 1000.0 + 4 * d, 1000.0 + 6 * d
+    f, w = ScalarField(g, vals), make_constant_weight(g)
+    fast = maximal_field(f, w, fam).values
+    assert fast[1, 0, 2] == 500.0 + d / 2
+    np.testing.assert_array_equal(fast, maximal_field_reference(f, w, fam).values)
+
+
+def _pruning_argmax_cases():
+    """Small pruning geometries with integer data for the literal walk."""
+    rng = np.random.default_rng(515)
+    grids = [
+        (GridSpec(n=1, extents=((-1, 1), (0, 2), (-2, 3)), mu=-2), {}, SHIFT_STANDARD),
+        (GridSpec(n=1, extents=((0, 2), (-2, -1), (0, 6)), factors=(2,), mu=3), {"max_t_len": 5}, SHIFT_SWAPPED),
+    ]
+    for g, family_kw, convention in grids:
+        fam = RectangleFamily(g, **family_kw)
+        assert heisenberg._prunes(g.t_len, fam.t_len_choices())
+        for f in (_int_field(g, rng, -4, 6), ScalarField.point_mass(g, g.lows)):
+            x = tuple(int(rng.integers(lo, hi + 1)) for lo, hi in g.extents)
+            yield f, make_power_weight(g, (1.0, 1.0)), fam, convention, x
+
+
 def test_argmax_rectangle_matches_literal_walk_and_field():
-    for f, w, fam, convention, x in itertools.chain(_exact_sweep_cases(60, 2024), _factor_cases()):
+    cases = itertools.chain(_exact_sweep_cases(60, 2024), _factor_cases(), _pruning_argmax_cases())
+    for f, w, fam, convention, x in cases:
         rect, val = argmax_rectangle(f, w, x, fam, convention)
         want_rect, want_val = _argmax_walk(f, w, x, fam, convention)
         assert (rect, val) == (want_rect, want_val), (fam.describe(), f.grid, convention, x)

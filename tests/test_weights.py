@@ -186,6 +186,18 @@ def test_expansion_rejects_degenerate_rule():
         w.expanded_spatial((3, 0))
 
 
+def test_overflowing_rule_is_a_range_error():
+    g = GridSpec.cube(1, 8)
+    # the rule overflows float64 on the extents
+    for text in ["power:400.0,1.0", "perturbed:0.5:1|constant:1.7e308"]:
+        with pytest.raises(RangeError, match="overflows"):
+            parse_weight(g, text)
+    # finite on the extents, overflowing on the expansion ring
+    w = parse_weight(g, "power:300.0,1.0")
+    with pytest.raises(RangeError, match="overflows"):
+        w.expanded_spatial((7, 7))
+
+
 def test_rectangle_cell_weights_and_scaling():
     g = _line_grid(4)
     w = make_power_weight(g, (1.0, 0.0))
