@@ -316,9 +316,14 @@ def _box_blocks(
     for a factor of several axes, the sum of their corner rows.
 
     Range: the set-up raises RangeError unless S = sum(omega * |f|) and
-    the weight prefix's total, times the longest t length, stay finite
-    with a factor 2^(2n + 1) to spare, so every box sum, weighted volume
-    and average of both stages is a finite float (or +inf for a quotient).
+    the weight prefix's total W stay finite times the bounds below, so
+    every box sum, weighted volume and numerator of both stages is a
+    finite float (a quotient may still be +inf).  Prefix entries and box
+    sums lie in [0, S] (of omega: [0, W]) up to rounding, and so does a
+    numerator's magnitude; a fold's partial sum over its first j corners
+    is an alternating sum of popcount(j) <= N box sums over fewer axes, so
+    it stays within ceil(N / 2) * S for a factor of N axes; and
+    wv * L <= W * top.
     """
     grid = f.grid
     sp, L = 2 * grid.n, grid.t_len
@@ -334,14 +339,11 @@ def _box_blocks(
         cf = prefix_sums(np.abs(f.values).reshape(n_sp, L), [1])
         pw = prefix_sums(omega.expanded_spatial(margins), range(sp))
         S = float((omega_flat * cf[:, -1]).sum())
-    # a fold adds at most 2^(2n) prefix entries of at most S (of omega: at
-    # most pw's total W), and a numerator subtracts two such sums over one
-    # weighted volume times a t length; so every float of both stages is
-    # finite while S and W * top are, with room for 2^(2n + 1)
-    room = 2.0 ** (sp + 1)
-    if not math.isfinite(S * room):
+    # the bounds of the docstring, with 2^-20 to spare for rounding
+    half, spare = (max(grid.factors) + 1) // 2, 1 + 2.0**-20
+    if not math.isfinite(S * half * spare):
         raise RangeError(f"omega * |f| sums to {S!r}: its box sums overflow float64")
-    if not math.isfinite(float(pw[(-1,) * sp]) * top * room):
+    if not math.isfinite(float(pw[(-1,) * sp]) * max(top, half) * spare):
         raise RangeError("the weighted volumes of the family's boxes overflow float64")
     cf = cf.reshape(-1)
 
@@ -401,16 +403,27 @@ def _box_blocks(
             yield k, o * inner, bv, wv[o : o + run].reshape(-1)
 
 
-# the unit-slice bound's rounding margin: see _column_values
+# the unit-slice bound's rounding margin, and the least normal float,
+# below which it does not hold: see _column_values
 _SHRINK = 1.0 - 8 * np.finfo(np.float64).eps
+_TINY = float(np.finfo(np.float64).tiny)
 
 
 def _prunes(t_len: int, lens: list[int]) -> bool:
     """Whether the interval stage prunes boxes: when the averages of the t
-    lengths past 1, sum (t_len + L - 1), are at least twice the n_c - 1
-    unit slices that the bound reads."""
+    lengths past 1, sum (t_len + L - 1), are at least 4 times the n_c - 1
+    unit slices that the bound reads.  Measured (median seconds of 5
+    alternating in-process pairs on integer, sparse and point data, n = 1
+    unless said): at ratios of 4.3 to 7.7 (full families of sizes 11 and
+    16, capped at t length 8 or 10 on sizes 14 and 12) pruning was faster
+    on all three, by 8 to 61%; at 4.2 and 4.7 (full, sizes 9 and 10) it
+    was 30% faster on integers and up to 14% slower on sparse and point
+    data; below 4 (full sizes 5 to 8, dyadic sizes 8 to 24, n = 2 dyadic
+    size 5) it was slower by 5 to 100% on sparse and point data, on which
+    more boxes survive, but for size 12 capped at t length 4 (ratio 2.2,
+    5 to 17% faster)."""
     n_c = t_len + 2 * lens[-1]
-    return sum(t_len + Lt - 1 for Lt in lens[1:]) >= 2 * (n_c - 1)
+    return sum(t_len + Lt - 1 for Lt in lens[1:]) >= 4 * (n_c - 1)
 
 
 def _column_values(
@@ -422,57 +435,62 @@ def _column_values(
 ) -> np.ndarray:
     """Twisted maximal values on whole t columns, shape (len(cols), t_len).
 
-    Interval stage over _box_blocks, into out[k] for anchor cols[k]: with
-    bv cuts-major, the numerators of the cnt = t_len + L - 1 intervals of
-    t length L (starts t_lo - L + 1 .. t_hi) are one contiguous slice
-    difference bv[s + L : s + L + cnt] - bv[s : s + cnt], s = top - L,
-    divided by wv * L; the maximum over boxes runs along the contiguous
-    axis, and the maximum at each t over the L intervals through it is a
-    width-L window maximum, read through one index table per t length.
-    Exactness: each average is one prefix difference over one product
-    wv * L, each prefix entry comes from the same gather, cumsums and
-    per-factor folds in a fixed order whatever the block, and maxima are
-    exact; so argmax_rectangle, running both stages on one column, reads
-    bitwise the value stored here.  The output is exact, and bitwise
+    Interval stage over _box_blocks, into out[k] for anchor cols[k].  With
+    bv cuts-major, every average is one prefix difference over one product
+    wv * L (_averages), and each prefix entry comes from the same gather,
+    cumsums and per-factor folds in a fixed order whatever the block; so
+    argmax_rectangle, running both stages on one column, reads bitwise the
+    value stored here.  The output is exact, and bitwise
     maximal_field_reference, while every prefix partial sum (of
     omega * |f|, and of omega) is an integer multiple of the data's dyadic
     grain g below 2^53 * g.  Past that, prefix differences cancel: each
     carries an error of about |C| * eps for the prefix C it is taken from,
     so a small average next to a large spike loses its relative accuracy.
 
-    Pruning.  Where _prunes holds (long t lengths on a short t extent, as
-    full families have) every block first takes the averages of its boxes
-    over the n_c - 1 unit slices, u = (bv[1:] - bv[:-1]) / wv, into a
-    per-call buffer.  Rows top - 1 .. top - 2 + t_len of u are the L = 1
-    averages, bitwise, and seed out[k]; the boxes attaining that maximum at
-    some t (at most t_len of them) then run every length.  Bound: an
-    interval's numerator is the sum of its unit slices' differences of the
-    same bv floats, so in exact arithmetic its average is at most its
-    largest unit average; the subtract, product and divide round it by at
-    most (1 + eps/2)^2 / (1 - eps/2)^3 < 1 + 4 eps (on averages above the
-    smallest normal float).  Slice c lies in an interval through t index i
-    iff c - 2 * top + 2 <= i <= c, so with thr[c] the least out[k] over
-    those i, a box none of whose slices has u[c] * (1 + 4 eps) > thr[c]
-    cannot raise out[k] anywhere, and skipping it keeps every bit of the
-    output.  The code tests u[c] > thr[c] * (1 - 8 eps), rounded, which
-    keeps every such box and scales the thresholds instead of u; a boolean
-    buffer of u's shape holds the test.  The margin is a rounding bound and
-    needs no data-dependent slack: a slack would let zero boxes beat zero
+    Where _prunes fails, every block runs every interval, one t length at
+    a time (_raise_by_length).  Where it holds (many long t lengths on a
+    short t extent, as in full families), every block first takes the
+    averages of its boxes over the n_c - 1 unit slices, u[c] over cuts
+    c .. c + 1, into a per-call buffer.  Rows
+    top - 1 .. top - 2 + t_len of u are the L = 1 averages and seed out[k];
+    the boxes attaining that maximum at some t (at most t_len of them) then
+    run every longer length, which gives the bound below a high value early.
+
+    Bound: an interval's numerator is the sum of its unit slices'
+    differences of the same bv floats, so in exact arithmetic its average
+    is at most its largest unit average; the subtract, product and divide
+    round it by at most (1 + eps/2)^2 / (1 - eps/2)^3 < 1 + 4 eps while
+    the averages are normal floats.  Slice c lies in an interval through
+    t index i iff c - 2 * top + 2 <= i <= c, so with thr[c] the least
+    out[k] over those i, a box none of whose slices has
+    u[c] * (1 + 4 eps) > thr[c] cannot raise out[k] anywhere, and skipping
+    it keeps every bit of the output.  The code tests
+    u[c] > thr[c] * (1 - 8 eps), rounded, which keeps every such box and
+    scales the thresholds instead of u; a boolean buffer of u's shape
+    holds the test.  The margin is a rounding bound and needs no
+    data-dependent slack: a slack would let zero boxes beat zero
     thresholds, and skipping those is what prunes point masses and sparse
     data.  The survivors are gathered, in parts, into u's buffer and run
-    the lengths past 1 through one table of all their intervals.
+    the longer lengths through one table of all their intervals.
+
+    Normal averages: with 2^(e_f - 1) <= the least nonzero |f| and
+    2^(e_o - 1) <= the least omega, every omega * |f| prefix the gather
+    takes is an integer multiple of g = 2^(e_f + e_o - 54) (or of the
+    least subnormal, if larger), and sums and differences keep that, so a
+    nonzero numerator is at least g and its average at least
+    g / 2^(e_wv + e_top) for wv < 2^(e_wv) and top < 2^(e_top).  Where
+    that could be below the least normal float, rounding is absolute and
+    the margin fails, so such a block runs _raise_by_length too.
     """
     T = f.grid.t_len
     lens = family.t_len_choices()
     top = lens[-1]
     out = np.zeros((len(cols), T))
+    wins = {Lt: np.arange(T)[:, None] + np.arange(Lt) for Lt in lens}
     blocks = _box_blocks(f, omega, family, cols, convention)
     if not _prunes(T, lens):
-        wins = {Lt: np.arange(T)[:, None] + np.arange(Lt) for Lt in lens}
         for k, _, bv, wv in blocks:
-            for Lt, win in wins.items():
-                best = _averages(bv, wv, top - Lt, Lt, T + Lt - 1).max(axis=1)
-                np.maximum(out[k], best[win].max(axis=1), out=out[k])
+            _raise_by_length(out[k], bv, wv, wins)
         return out
     # the intervals of t length past 1 by lower cut, upper cut and length,
     # and per t index the ones through it
@@ -487,23 +505,31 @@ def _column_values(
         np.concatenate([s + np.arange(T)[:, None] + np.arange(Lt) for s, Lt in zip(starts, longer)], axis=1),
     )
     n_s = T + 2 * top - 1
+    units = (slice(0, n_s), slice(1, n_s + 1), 1.0)
     # the t indices each unit slice reaches, T standing for none (an inf pad)
     at = np.arange(n_s)[:, None] - np.arange(2 * top - 1)
     reach = np.where((at >= 0) & (at < T), at, T)
     padded = np.full(T + 1, np.inf)
+    # a nonzero numerator is at least 2^(grain + e_top), top < 2^(e_top)
+    nz = np.abs(f.values)[f.values != 0]
+    e_f = math.frexp(float(nz.min()))[1] if nz.size else 1
+    grain = max(e_f + math.frexp(float(omega.values.min()))[1] - 54, -1074) - math.frexp(top)[1]
     u_buf = mask_buf = None
     for k, _, bv, wv in blocks:
         nb = bv.shape[1]
         if u_buf is None:
             # the first block is the widest; survivors go through in parts
-            # whose two interval tables take half the per-length loop's
-            # largest average slab, and as _prunes makes len(lo) >= 2 * n_s,
-            # a part's gathered prefixes fit u's buffer
+            # whose three interval tables (two while _averages subtracts,
+            # then the products) take half the t_len + top - 1 averages per
+            # box of a longest length, and as len(lo) >= t_len + top - 1, a
+            # part's gathered prefixes fit u's buffer
             u_buf, mask_buf = np.empty(n_s * nb), np.empty(n_s * nb, dtype=bool)
-            part = max(1, (T + top - 1) * nb // (4 * len(lo)))
-        u = u_buf[: n_s * nb].reshape(n_s, nb)
-        np.subtract(bv[1:], bv[:-1], out=u)
-        u /= wv
+            part = max(1, (T + top - 1) * nb // (6 * len(lo)))
+        # a nonzero average is at least 2^(grain - e_wv), wv < 2^(e_wv)
+        if math.ldexp(1.0, min(0, grain - math.frexp(float(wv.max()))[1])) < _TINY:
+            _raise_by_length(out[k], bv, wv, wins)
+            continue
+        u = _averages(bv, wv, *units, out=u_buf[: n_s * nb].reshape(n_s, nb))
         seed = u[top - 1 : top - 1 + T]
         np.maximum(out[k], seed.max(axis=1), out=out[k])
         heads = seed.argmax(axis=1)
@@ -522,25 +548,34 @@ def _column_values(
     return out
 
 
+def _raise_by_length(row: np.ndarray, bv: np.ndarray, wv: np.ndarray, wins: dict) -> None:
+    """Raise row, one column's values, to the maxima over the boxes of bv
+    (cuts-major) and wv of every interval, one t length at a time: wins
+    maps each length L, the longest being top, to per t the L intervals
+    through it, whose lower cuts are top - L .. top + t_len - 2."""
+    T, top = len(row), max(wins)
+    for Lt, win in wins.items():
+        best = _averages(bv, wv, slice(top - Lt, top + T - 1), slice(top, top + T + Lt - 1), Lt).max(axis=1)
+        np.maximum(row, best[win].max(axis=1), out=row)
+
+
 def _raise_on_intervals(row: np.ndarray, bv: np.ndarray, wv: np.ndarray, ivals: tuple) -> None:
     """Raise row, one column's values, to the maxima over the boxes of bv
     (cuts-major) and wv of the intervals ivals = (lower cuts, upper cuts,
-    lengths, per t the intervals through it); each average is computed as
-    _averages computes it."""
+    lengths, per t the intervals through it)."""
     lo, hi, lens, through = ivals
-    num = np.take(bv, hi, axis=0)
-    den = np.take(bv, lo, axis=0)
-    num -= den
-    np.multiply(wv, lens, out=den)
-    num /= den
-    np.maximum(row, num.max(axis=1)[through].max(axis=1), out=row)
+    best = _averages(bv, wv, lo, hi, lens).max(axis=1)
+    np.maximum(row, best[through].max(axis=1), out=row)
 
 
-def _averages(bv: np.ndarray, wv: np.ndarray, lo: int, Lt: int, cnt: int) -> np.ndarray:
-    """Averages over the cnt intervals of t length Lt whose lower cuts are
-    lo .. lo + cnt - 1, shape (cnt, nb)."""
-    num = bv[lo + Lt : lo + Lt + cnt] - bv[lo : lo + cnt]
-    num /= wv * Lt
+def _averages(bv: np.ndarray, wv: np.ndarray, lo, hi, lens, out=None) -> np.ndarray:
+    """Averages over the boxes of bv (cuts-major) and wv of the t intervals
+    with lower cuts lo, upper cuts hi and t lengths lens: slices and one
+    length, or index arrays and a column of lengths; shape (intervals, nb).
+    Every average of the fast path and of argmax_rectangle is taken here,
+    so one interval of one box gives one float."""
+    num = np.subtract(bv[hi], bv[lo], out=out)
+    num /= wv * lens
     return num
 
 
@@ -789,7 +824,7 @@ def argmax_rectangle(
     for _, bs, bv, wv in _box_blocks(f, omega, family, np.asarray([col]), convention):
         for Lt in family.t_len_choices():
             # the Lt intervals through t start at t - Lt + 1 .. t
-            vals = _averages(bv, wv, cut - Lt, Lt, Lt)
+            vals = _averages(bv, wv, slice(cut - Lt, cut), slice(cut, cut + Lt), Lt)
             best = vals.max()
             if best > top:
                 top, ties = best, []

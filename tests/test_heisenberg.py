@@ -266,6 +266,12 @@ def test_overflowing_sums_are_range_errors():
     # the largest sums that pass stay finite
     f = ScalarField(g, np.full(g.shape, 1e300))
     assert np.all(np.isfinite(maximal_field(f, make_constant_weight(g), fam).values))
+    # on one-axis factors no partial sum passes S: 64 cells of 1.5 * 2^1017
+    # (S = 1.5 * 2^1023) run exactly, 64 of 2^1018 (S = 2^1024) do not
+    f = ScalarField(g, np.full(g.shape, 1.5 * 2.0**1017))
+    np.testing.assert_array_equal(maximal_field(f, make_constant_weight(g), fam).values, f.values)
+    with pytest.raises(RangeError, match="overflow"):
+        maximal_field(ScalarField(g, np.full(g.shape, 2.0**1018)), make_constant_weight(g), fam)
 
 
 def test_fast_equals_reference_two_block_grid():
@@ -578,9 +584,9 @@ def _factor_cases():
 
 
 def _pruning_geometries():
-    """Grids and families on which the interval stage prunes: full families
-    with t extents of 5 to 12, n = 1 and 2, factor partitions, side and t
-    caps, |mu| > 1 and negative origins."""
+    """Grids and families to force pruning on: full families with t
+    extents of 5 to 12, n = 1 and 2, factor partitions, side and t caps,
+    |mu| > 1 and negative origins."""
     G = GridSpec
     return [
         (G.cube(1, 7, mu=1), {}),
@@ -605,21 +611,28 @@ def _pruning_fields(g, rng):
     yield ScalarField(g, vals)
 
 
-def test_box_pruning_changes_no_bit(monkeypatch):
+def _assert_pruning_is_inert(f, w, fam, convention=SHIFT_STANDARD):
+    """maximal_field with pruning forced on equals, bit for bit (signed
+    zeros too), maximal_field with every t length run for every box."""
+    got = []
+    for prunes in (True, False):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(heisenberg, "_prunes", lambda *_: prunes)
+            got.append(maximal_field(f, w, fam, convention).values)
+    np.testing.assert_array_equal(got[0].view(np.int64), got[1].view(np.int64))
+
+
+def test_box_pruning_changes_no_bit():
     rng = np.random.default_rng(808)
     for g, family_kw in _pruning_geometries():
         fam = RectangleFamily(g, **family_kw)
-        assert heisenberg._prunes(g.t_len, fam.t_len_choices()), (g, family_kw)
         sp = 2 * g.n
         power = make_power_weight(g, (1.0,) * sp)
         weights = [make_constant_weight(g), _int_hash_weight(g), make_perturbed_weight(g, power, amplitude=0.5, seed=2)]
         for i, f in enumerate(_pruning_fields(g, rng)):
             w = weights[i % len(weights)]
             for convention in (SHIFT_STANDARD, SHIFT_SWAPPED):
-                pruned = maximal_field(f, w, fam, convention).values
-                with monkeypatch.context() as mp:
-                    mp.setattr(heisenberg, "_prunes", lambda *_: False)
-                    np.testing.assert_array_equal(pruned, maximal_field(f, w, fam, convention).values)
+                _assert_pruning_is_inert(f, w, fam, convention)
     # constant fields under perturbed weights: averages tie within an ulp,
     # and a bound without its rounding margin changes a bit on both
     for extents, mu, weight in [
@@ -627,15 +640,31 @@ def test_box_pruning_changes_no_bit(monkeypatch):
         (((0, 3), (0, 3), (0, 4)), 0, "perturbed:0.5:219|power:0.8891682283772107,1.0"),
     ]:
         g = GridSpec(n=1, extents=extents, mu=mu)
-        f, w, fam = ScalarField.constant(g, 1.0), parse_weight(g, weight), RectangleFamily(g)
-        pruned = maximal_field(f, w, fam).values
-        with monkeypatch.context() as mp:
-            mp.setattr(heisenberg, "_prunes", lambda *_: False)
-            np.testing.assert_array_equal(pruned, maximal_field(f, w, fam).values)
-    # the selection keeps the per-length loop where the unit slices would
-    # cost more than the averages they can skip
+        _assert_pruning_is_inert(ScalarField.constant(g, 1.0), parse_weight(g, weight), RectangleFamily(g))
+    # subnormal data: averages that round on the subnormal grid escape the
+    # relative margin, and some underflow to -0.0, which a box the bound
+    # skipped would have left +0.0
+    g = GridSpec(n=1, extents=((0, 5), (-1, 3), (-2, 7)), mu=2)
+    fam = RectangleFamily(g, max_sides=(3, 2), max_t_len=6)
+    f = ScalarField(g, np.random.default_rng(0).integers(0, 3, size=g.shape) * 1e-310)
+    _assert_pruning_is_inert(f, make_power_weight(g, (1.0, 1.0)), fam, SHIFT_SWAPPED)
+    # the same data scaled into the normal range still prunes
+    runs = []
+    evaluate = heisenberg._raise_on_intervals
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(heisenberg, "_prunes", lambda *_: True)
+        mp.setattr(heisenberg, "_raise_on_intervals", lambda row, bv, *a: runs.append(bv.shape[1]) or evaluate(row, bv, *a))
+        maximal_field(ScalarField(g, f.values * 2.0**1000), make_power_weight(g, (1.0, 1.0)), fam, SHIFT_SWAPPED)
+        assert runs
+        runs.clear()
+        maximal_field(f, make_power_weight(g, (1.0, 1.0)), fam, SHIFT_SWAPPED)
+        assert not runs
+    # the selection: the benchmark's full family at size 11 prunes; its
+    # n = 2 field, the dyadic survey's sizes and short t extents do not
+    assert heisenberg._prunes(11, list(range(1, 12)))
     assert not heisenberg._prunes(5, [1, 2, 4])
     assert not heisenberg._prunes(4, [1, 2, 3, 4])
+    assert not any(heisenberg._prunes(T, [1, 2, 4, 8, 16][: T.bit_length()]) for T in (8, 16, 24))
 
 
 def test_box_pruning_skips_boxes_and_stays_in_memory():
@@ -686,14 +715,15 @@ def test_box_pruning_keeps_a_box_that_wins_only_over_two_slices():
     and beats them by under 2e-12 relative.  Every sum here is exact."""
     g = GridSpec(n=1, extents=((0, 2), (0, 0), (0, 5)), mu=1)
     fam = RectangleFamily(g, max_sides=(2, 1))
-    assert heisenberg._prunes(g.t_len, fam.t_len_choices())
     d = 2.0**-31
     vals = np.zeros(g.shape)
     vals[1, 0, :] = 500.0
     vals[1, 0, 3] = 0.0
     vals[2, 0, 2], vals[2, 0, 3], vals[0, 0, 3] = 500.0 - 2 * d, 1000.0 + 4 * d, 1000.0 + 6 * d
     f, w = ScalarField(g, vals), make_constant_weight(g)
-    fast = maximal_field(f, w, fam).values
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(heisenberg, "_prunes", lambda *_: True)
+        fast = maximal_field(f, w, fam).values
     assert fast[1, 0, 2] == 500.0 + d / 2
     np.testing.assert_array_equal(fast, maximal_field_reference(f, w, fam).values)
 
@@ -702,8 +732,8 @@ def _pruning_argmax_cases():
     """Small pruning geometries with integer data for the literal walk."""
     rng = np.random.default_rng(515)
     grids = [
-        (GridSpec(n=1, extents=((-1, 1), (0, 2), (-2, 3)), mu=-2), {}, SHIFT_STANDARD),
-        (GridSpec(n=1, extents=((0, 2), (-2, -1), (0, 6)), factors=(2,), mu=3), {"max_t_len": 5}, SHIFT_SWAPPED),
+        (GridSpec(n=1, extents=((-1, 1), (0, 2), (-2, 6)), mu=-2), {}, SHIFT_STANDARD),
+        (GridSpec(n=1, extents=((0, 2), (-2, -1), (0, 11)), factors=(2,), mu=3), {"max_t_len": 8}, SHIFT_SWAPPED),
     ]
     for g, family_kw, convention in grids:
         fam = RectangleFamily(g, **family_kw)
