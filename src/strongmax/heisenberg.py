@@ -240,15 +240,15 @@ def _check_inputs(f: ScalarField, omega: WeightField, family: RectangleFamily, c
 # fast path: prefix sums over sheared gathers
 
 
-def _corner_tables(family: RectangleFamily, dims: np.ndarray, shift) -> list[list[np.ndarray]]:
+def _corner_tables(family: RectangleFamily, dims: np.ndarray, anchors) -> list[list[np.ndarray]]:
     """Corner tables of a summed-area table of shape dims whose axes are
     merged per spatial factor in C order: per factor i, one table per axis
     a of it, whose row b (2^N_i, n_o_i) holds the corners of
-    _factor_options(family, i) on axis a for the anchor at b (0 <= b < w_a,
-    the extents' width on a), shifted by shift[a], clipped to
-    [0, dims[a] - 1] and times a's stride in the merged axis.  A factor's
-    flat corner indices are the sum of its axes' rows (_corner_rows); a
-    table takes w_a * 2^N_i * n_o_i * 8 bytes."""
+    _factor_options(family, i) on axis a for the anchor at anchors[a][b],
+    clipped to [0, dims[a] - 1] and times a's stride in the merged axis.
+    A factor's flat corner indices are the sum of its axes' rows
+    (_corner_rows); a table takes len(anchors[a]) * 2^N_i * n_o_i * 8
+    bytes."""
     grid = family.grid
     tabs = []
     for i in range(len(grid.factors)):
@@ -257,7 +257,7 @@ def _corner_tables(family: RectangleFamily, dims: np.ndarray, shift) -> list[lis
         strides = np.cumprod([1, *dims[ax][:0:-1]])[::-1]
         tabs.append([])
         for j, (a, stride) in enumerate(zip(ax, strides)):
-            at = corners[..., j] + (np.arange(grid.shape[a]) + shift[a])[:, None, None]
+            at = corners[..., j] + np.asarray(anchors[a])[:, None, None]
             tabs[i].append(np.clip(at, 0, dims[a] - 1) * stride)
     return tabs
 
@@ -293,27 +293,33 @@ def _box_blocks(
     convention: str,
 ) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
     """Box stage of the fast path, one anchor column at a time (flat
-    spatial indices cols, C order).  For anchor cols[k], one flat take
-    from the t-prefix cf puts every cell's sheared samples on a common axis
-    of n_c = t_len + 2 * top cuts from c_lo = t_lo - top + 1, top being the
-    family's longest t length; their spatial prefix p is summed in place
-    into the interior of a zero-bordered buffer.  _fold sums boxes out of
-    p and the weight prefix pw one factor at a time, last first, and p's
-    first factor one run of its options per block.  Yields (k, bs, bv, wv)
-    per block of boxes bs.. of _box_tables: bv (n_c, nb) is stored
-    cuts-major, bv[c, j] being the sum of omega * |f| over box j of the
-    anchor at sheared t < c_lo + c, and wv (nb,) holds the boxes' weighted
-    volumes; both view per-call buffers the next block refills.
+    spatial indices cols, C order).  Every cell's sheared samples of anchor
+    cols[k] lie on a common axis of n_c = t_len + 2 * top cuts from
+    c_lo = t_lo - top + 1, top being the family's longest t length: the
+    weighted t-prefix rows of omega * |f| are padded with n_c zeros in
+    front and n_c copies of their total behind, so each cell reads one
+    n_c-wide window of its row, at its clipped shear.  prefix_sums sums
+    their spatial prefix p into the interior of a zero-bordered buffer.
+    _fold sums boxes out of p and out of the anchor's window of the weight
+    prefix pw one factor at a time, last first, and p's first factor one
+    run of its options per block.  Yields (k, bs, bv, wv) per block of
+    boxes bs.. of _box_tables: bv (n_c, nb) is stored cuts-major, bv[c, j]
+    being the sum of omega * |f| over box j of the anchor at sheared
+    t < c_lo + c, and wv (nb,) holds the boxes' weighted volumes; both
+    view per-call buffers the next block refills.
 
-    The working set is allocated once per call: cf (n_sp, t_len + 1); pw
-    over the extents widened by the margins; the gather's flat indices and
-    values, n_sp * n_c each; p, prod(w_a + 1) * n_c; the corner tables,
-    sum_i sum_(a in factor i) w_a * 2^N_i * n_o_i * 8 bytes for p and as
-    many again for pw, w_a being the extents' width on axis a, N_i factor
-    i's axis count and n_o_i its box options; per factor a fold result
-    and a corner slab for p and for pw; and the cuts-major block, which
-    _BLOCK_BYTES sizes.  A column allocates only its shear (n_sp,) and,
-    for a factor of several axes, the sum of their corner rows.
+    The working set is allocated once per call: the padded weighted rows,
+    n_sp * (t_len + 1 + 2 * n_c); pw over the extents widened by the
+    margins; p, prod(w_a + 1) * n_c; the weight window, prod(2 * s_a)
+    with s_a the longest side on axis a, whose corner indices are the same
+    for every anchor; p's corner tables, sum_i sum_(a in factor i)
+    w_a * 2^N_i * n_o_i * 8 bytes, w_a being the extents' width on axis a,
+    N_i factor i's axis count and n_o_i its box options; per factor a fold
+    result and a corner slab for p and for the weight window; and the
+    cuts-major block, which _BLOCK_BYTES sizes.  A column allocates its
+    shear and window starts (n_sp,), its copy of the windows,
+    n_sp * n_c, and, for a factor of several axes, the sum of p's corner
+    rows.  No index table is built per column.
 
     Range: the set-up raises RangeError unless S = sum(omega * |f|) and
     the weight prefix's total W stay finite times the bounds below, so
@@ -328,68 +334,69 @@ def _box_blocks(
     grid = f.grid
     sp, L = 2 * grid.n, grid.t_len
     top = family.t_len_choices()[-1]
+    n_c = L + 2 * top
     margins = family.margins()
 
     axes = [np.arange(lo, hi + 1, dtype=np.int64) for lo, hi in grid.extents[:sp]]
     coords_sp = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, sp)
     n_sp = coords_sp.shape[0]
-    omega_flat = omega.values.reshape(-1)
-    # t-prefix of |f| per spatial cell; weight prefix over the extended window
+    # the t-prefix of omega * |f| per spatial cell, between n_c zeros and
+    # n_c copies of its total; the weight prefix over the extended window
+    rows = np.zeros((n_sp, L + 1 + 2 * n_c))
+    cf = rows[:, n_c : n_c + L + 1]
     with np.errstate(over="ignore"):
-        cf = prefix_sums(np.abs(f.values).reshape(n_sp, L), [1])
+        prefix_sums(np.abs(f.values).reshape(n_sp, L), [1], out=cf)
+        cf *= omega.values.reshape(-1, 1)
         pw = prefix_sums(omega.expanded_spatial(margins), range(sp))
-        S = float((omega_flat * cf[:, -1]).sum())
+        S = float(cf[:, -1].sum())
     # the bounds of the docstring, with 2^-20 to spare for rounding
     half, spare = (max(grid.factors) + 1) // 2, 1 + 2.0**-20
     if not math.isfinite(S * half * spare):
         raise RangeError(f"omega * |f| sums to {S!r}: its box sums overflow float64")
     if not math.isfinite(float(pw[(-1,) * sp]) * max(top, half) * spare):
         raise RangeError("the weighted volumes of the family's boxes overflow float64")
-    cf = cf.reshape(-1)
-
+    rows[:, n_c + L + 1 :] = cf[:, -1:]
     # cut j, at t = c_lo + j, of cell r reads the t-prefix at
-    # clip(c_lo + j + shear_r - t_lo, 0, L), flat index r * (L + 1) + that
-    n_c = L + 2 * top
-    cuts = np.arange(1 - top, 1 - top + n_c, dtype=np.int64)
-    row_start = np.arange(n_sp, dtype=np.int64)[:, None] * (L + 1)
+    # clip(c_lo + j + shear_r - t_lo, 0, L), entry n_c + that of its padded
+    # row: entry j of the row's window at shear_r + 1 - top + n_c, clipped
+    # to the windows there are
+    windows = np.lib.stride_tricks.sliding_window_view(rows, n_c, axis=1)
+    cells = np.arange(n_sp)
     lows = np.asarray(grid.lows[:sp], dtype=np.int64)
-    # p spans the extents (f vanishes outside), pw the extended window, so
-    # only p's corners are ever clipped
-    p_dims, w_dims = np.add(grid.spatial_shape, 1), np.asarray(pw.shape)
+    # p spans the extents (f vanishes outside), so its corners are clipped;
+    # every box corner of the anchor at b lies in pw's window of 2 * s
+    # entries from b + margins - s + 1 per axis, s the longest side there,
+    # at offsets that are the same for every anchor
+    longest = np.asarray([family.side_choices(i)[-1] for i in grid.factor_of_axis])
+    p_dims, w_dims = np.add(grid.spatial_shape, 1), 2 * longest
+    w_lo = np.subtract(margins, longest - 1)
     axs = [list(grid.factor_axes(i)) for i in range(len(grid.factors))]
-    p_tabs = _corner_tables(family, p_dims, (0,) * sp)
-    w_tabs = _corner_tables(family, w_dims, margins)
+    p_tabs = _corner_tables(family, p_dims, [np.arange(w) for w in grid.spatial_shape])
+    w_flat = [_corner_rows(tabs, [0] * len(tabs)) for tabs in _corner_tables(family, w_dims, longest[:, None] - 1)]
     n_o = [tabs[0].shape[2] for tabs in p_tabs]
     inner = int(np.prod(n_o[1:]))
     run = min(n_o[0], max(1, _BLOCK_BYTES // (2 * n_c * 8 * inner)))
     p_merged = [int(np.prod(p_dims[ax])) for ax in axs] + [n_c]
     w_merged = [int(np.prod(w_dims[ax])) for ax in axs]
-    idx = np.empty((n_sp, n_c), dtype=np.int64)
-    cw = np.empty((n_sp, n_c))
-    # the gather's spatial prefix, summed in place inside a zero border
     p_pad = np.zeros((*p_dims, n_c))
-    p_in = p_pad[(slice(1, None),) * sp]
-    p, pw = p_pad.reshape(p_merged), pw.reshape(w_merged)
-    # per factor a fold result and a corner slab of p and of pw, and one
-    # cuts-major block
+    p, w_win = p_pad.reshape(p_merged), np.empty(w_dims)
+    # per factor a fold result and a corner slab of p and of the weight
+    # window, and one cuts-major block
     p_bufs = [np.empty((2, *p_merged[:i], n_o[i] if i else run, *n_o[i + 1 :], n_c)) for i in range(len(axs))]
     w_bufs = [np.empty((2, *w_merged[:i], *n_o[i:])) for i in range(len(axs))]
     cm = np.empty(p_bufs[0][0].size)
     for k, col in enumerate(cols):
         anchor = coords_sp[col]
-        shear = _shear(grid.mu, anchor[None, :], coords_sp, convention)[0]
-        np.add(shear[:, None], cuts, out=idx)
-        np.clip(idx, 0, L, out=idx)
-        idx += row_start
-        np.take(cf, idx, out=cw, mode="clip")
-        cw *= omega_flat[:, None]
-        np.cumsum(cw.reshape(p_in.shape), axis=0, out=p_in)
-        for ax in range(1, sp):
-            np.cumsum(p_in, axis=ax, out=p_in)
+        start = _shear(grid.mu, anchor[None, :], coords_sp, convention)[0]
+        start += 1 - top + n_c
+        # np.clip without its per-call Python checks (about 20 us)
+        np.minimum(np.maximum(start, 0, out=start), L + 1 + n_c, out=start)
+        prefix_sums(windows[cells, start].reshape(*grid.spatial_shape, n_c), range(sp), out=p_pad)
         base = anchor - lows
-        sums, wv = p, pw
+        np.copyto(w_win, pw[tuple(slice(b, b + d) for b, d in zip(base + w_lo, w_dims))])
+        sums, wv = p, w_win.reshape(w_merged)
         for i in reversed(range(len(axs))):
-            wv = _fold(wv, i, _corner_rows(w_tabs[i], base[axs[i]]), *w_bufs[i])
+            wv = _fold(wv, i, w_flat[i], *w_bufs[i])
             if i:
                 sums = _fold(sums, i, _corner_rows(p_tabs[i], base[axs[i]]), *p_bufs[i])
         if not np.all(wv > 0):
@@ -438,9 +445,9 @@ def _column_values(
     Interval stage over _box_blocks, into out[k] for anchor cols[k].  With
     bv cuts-major, every average is one prefix difference over one product
     wv * L (_averages), and each prefix entry comes from the same gather,
-    cumsums and per-factor folds in a fixed order whatever the block; so
-    argmax_rectangle, running both stages on one column, reads bitwise the
-    value stored here.  The output is exact, and bitwise
+    spatial prefix and per-factor folds in a fixed order whatever the
+    block; so argmax_rectangle, running both stages on one column, reads
+    bitwise the value stored here.  The output is exact, and bitwise
     maximal_field_reference, while every prefix partial sum (of
     omega * |f|, and of omega) is an integer multiple of the data's dyadic
     grain g below 2^53 * g.  Past that, prefix differences cancel: each
@@ -481,6 +488,11 @@ def _column_values(
     g / 2^(e_wv + e_top) for wv < 2^(e_wv) and top < 2^(e_top).  Where
     that could be below the least normal float, rounding is absolute and
     the margin fails, so such a block runs _raise_by_length too.
+
+    Signed zeros: an average can underflow to -0.0, and np.maximum's
+    vector loops return their second operand on equal zeros, so a zero
+    cell's sign would rest on numpy's loop choice; both paths end with
+    out += 0.0, which makes every zero +0.0 and changes no other bit.
     """
     T = f.grid.t_len
     lens = family.t_len_choices()
@@ -491,6 +503,7 @@ def _column_values(
     if not _prunes(T, lens):
         for k, _, bv, wv in blocks:
             _raise_by_length(out[k], bv, wv, wins)
+        out += 0.0
         return out
     # the intervals of t length past 1 by lower cut, upper cut and length,
     # and per t index the ones through it
@@ -545,6 +558,7 @@ def _column_values(
             X = u_buf[: (n_s + 1) * len(boxes)].reshape(n_s + 1, -1)
             np.take(bv, boxes, axis=1, out=X)
             _raise_on_intervals(out[k], X, wv[boxes], ivals)
+    out += 0.0
     return out
 
 

@@ -379,14 +379,30 @@ class ScalarField:
         return np.where(inside, out, 0.0)
 
 
-def prefix_sums(values: np.ndarray, axes: Iterable[int]) -> np.ndarray:
+def prefix_sums(values: np.ndarray, axes: Iterable[int], out: np.ndarray | None = None) -> np.ndarray:
     """Cumulative sums along each of axes, then one zero in front on each
-    of them: entry i along such an axis sums the first i values."""
+    of them: entry i along such an axis sums the first i values.
+
+    Summed with one np.add per slab, into out if given: a float64 buffer
+    of the result's shape whose zero border the caller keeps.  The first
+    of axes runs from values into the border's interior, the others in
+    place there; every entry adds the terms np.cumsum would, in its order.
+    """
     axes = tuple(axes)
-    p = np.asarray(values, dtype=np.float64)
-    for ax in axes:
-        p = np.cumsum(p, axis=ax)
-    return np.pad(p, [(int(ax in axes), 0) for ax in range(p.ndim)])
+    values = np.asarray(values, dtype=np.float64)
+    if out is None:
+        out = np.zeros([w + (ax in axes) for ax, w in enumerate(values.shape)])
+    inner = out[tuple(slice(int(ax in axes), None) for ax in range(values.ndim))]
+    if not axes:
+        np.copyto(inner, values)
+    for j, ax in enumerate(axes):
+        lead = (slice(None),) * ax
+        slabs = [inner[lead + (i,)] for i in range(values.shape[ax])]
+        if not j and slabs:
+            np.copyto(slabs[0], values[lead + (0,)])
+        for i in range(1, len(slabs)):
+            np.add(slabs[i - 1], slabs[i] if j else values[lead + (i,)], out=slabs[i])
+    return out
 
 
 class PrefixTable:

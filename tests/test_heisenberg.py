@@ -351,6 +351,67 @@ def test_fast_path_corner_tables_clip_at_both_ends():
                 assert val == fast[tuple(c - lo for c, lo in zip(x, g.lows))]
 
 
+def test_fast_path_window_gather_clamps_at_both_ends():
+    """mu = +-3 on negative origins: some shears put a cell's n_c-wide
+    window of its padded t-prefix row (n_c zeros, the t_len + 1 prefixes,
+    n_c copies of the total) before the row's start and some past its end,
+    so the window start clip(shear + 1 - top + n_c, 0, t_len + 1 + n_c)
+    clamps at both ends under both conventions.  The field equals the
+    reference bitwise."""
+    rng = np.random.default_rng(43)
+    cases = [
+        (GridSpec(n=1, extents=((-4, 0), (-3, 0), (-2, 1)), mu=3), {}),
+        (GridSpec(n=1, extents=((-5, -1), (-4, 1), (-3, 2)), mu=-3), {"dyadic_only": True}),
+        (GridSpec(n=2, extents=((-3, -1), (-2, 0), (-1, 0), (-3, -1), (-2, 0)), factors=(2, 2), mu=-3), {}),
+        (GridSpec(n=2, extents=((-2, 0), (-3, -1), (-2, -1), (-1, 0), (-4, -2)), factors=(1, 3), mu=3), {}),
+    ]
+    for g, family_kw in cases:
+        fam = RectangleFamily(g, **family_kw)
+        top = fam.t_len_choices()[-1]
+        n_c = g.t_len + 2 * top
+        axes = [np.arange(lo, hi + 1) for lo, hi in g.extents[: 2 * g.n]]
+        coords = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2 * g.n)
+        f = _int_field(g, rng, -4, 6)
+        w = _int_hash_weight(g)
+        for convention in (SHIFT_STANDARD, SHIFT_SWAPPED):
+            start = heisenberg._shear(g.mu, coords, coords, convention) + 1 - top + n_c
+            assert start.min() < 0 and start.max() > g.t_len + 1 + n_c, (g, convention)
+            fast = maximal_field(f, w, fam, convention).values
+            np.testing.assert_array_equal(fast, maximal_field_reference(f, w, fam, convention).values)
+
+
+def test_weight_window_folds_give_the_boxes_weighted_volumes(monkeypatch):
+    """The weighted volumes wv that _box_blocks folds out of each anchor's
+    window of the weight prefix equal direct sums of omega over every box
+    of every anchor: on a dyadic family whose longest side (4) is below
+    its cap (5, the margin being 4), on per-factor side caps and on
+    multi-axis factors.  Integer-valued weights keep every sum exact; a
+    small budget splits each column into several blocks."""
+    cases = [
+        (GridSpec.cube(1, 5, mu=1), {"dyadic_only": True}),
+        (GridSpec(n=1, extents=((-2, 2), (0, 3), (0, 2)), mu=-1), {"max_sides": (2, 3)}),
+        (GridSpec(n=2, extents=((-1, 1), (0, 2), (0, 1), (-2, 0), (0, 1)), factors=(2, 2), mu=2), {}),
+        (GridSpec(n=2, extents=((0, 1), (-1, 1), (0, 2), (0, 1), (0, 1)), factors=(1, 3), mu=-1), {"dyadic_only": True}),
+    ]
+    monkeypatch.setattr(heisenberg, "_BLOCK_BYTES", 1 << 10)
+    for g, family_kw in cases:
+        fam = RectangleFamily(g, **family_kw)
+        margins = fam.margins()
+        w = _int_hash_weight(g)
+        w_exp = w.expanded_spatial(margins)
+        lo_off, side_ax, _ = heisenberg._box_tables(fam)
+        spatial = list(np.ndindex(*g.spatial_shape))
+        f = _int_field(g, np.random.default_rng(9))
+        seen = np.zeros((len(spatial), len(lo_off)), dtype=int)
+        for k, bs, _, wv in heisenberg._box_blocks(f, w, fam, np.arange(len(spatial)), SHIFT_STANDARD):
+            for j, got in enumerate(wv, start=bs):
+                lo = np.add(spatial[k], margins) + lo_off[j]
+                want = w_exp[tuple(slice(a, a + s) for a, s in zip(lo, side_ax[j]))].sum()
+                assert got == want, (g, spatial[k], j)
+                seen[k, j] += 1
+        assert np.all(seen == 1)
+
+
 # ---------------------------------------------------------------------------
 # group form against the twisted form
 
@@ -665,6 +726,25 @@ def test_box_pruning_changes_no_bit():
     assert not heisenberg._prunes(5, [1, 2, 4])
     assert not heisenberg._prunes(4, [1, 2, 3, 4])
     assert not any(heisenberg._prunes(T, [1, 2, 4, 8, 16][: T.bit_length()]) for T in (8, 16, 24))
+
+
+def test_fast_path_zeros_are_unsigned():
+    """Subnormal integer fields on a capped n = 1 geometry: averages that
+    underflow to -0.0 leave no cell with its sign bit set, on the
+    per-length loop and on the pruned path, and the zero cells are the
+    reference's."""
+    g = GridSpec(n=1, extents=((0, 5), (-1, 3), (-2, 7)), mu=2)
+    fam = RectangleFamily(g, max_sides=(3, 2), max_t_len=6)
+    w = make_power_weight(g, (1.0, 1.0))
+    for seed in range(10):
+        f = ScalarField(g, np.random.default_rng(seed).integers(0, 3, size=g.shape) * 1e-310)
+        zeros = maximal_field_reference(f, w, fam, SHIFT_SWAPPED).values == 0
+        for prunes in (False, True):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(heisenberg, "_prunes", lambda *_: prunes)
+                fast = maximal_field(f, w, fam, SHIFT_SWAPPED).values
+            assert not np.signbit(fast).any(), (seed, prunes)
+            np.testing.assert_array_equal(fast == 0, zeros)
 
 
 def test_box_pruning_skips_boxes_and_stays_in_memory():

@@ -32,6 +32,7 @@ from strongmax import (
     random_rectangle,
     weighted_volume,
 )
+from strongmax.lattice import prefix_sums
 from strongmax.weights import make_power_weight
 
 
@@ -268,6 +269,25 @@ def test_box_sum_of_field():
     assert box_sum(table, whole) == 2.0
     corner = Rectangle.from_bounds([(0, 0), (0, 0), (0, 0)], (1, 1))
     assert box_sum(table, corner) == 0.0
+
+
+def test_prefix_sums_add_as_cumsum_does():
+    """prefix_sums' slab-wise adds give np.cumsum's sums bit for bit, on
+    real data with signed zeros, over a subset of the axes and into a
+    caller's zero-bordered buffer."""
+    rng = np.random.default_rng(72)
+    vals = rng.normal(size=(4, 3, 5, 2)) * np.exp(rng.uniform(-30, 30, size=(4, 3, 5, 2)))
+    vals[rng.random(vals.shape) < 0.2] = -0.0
+    for axes in ([0, 1, 2, 3], [1, 3], [2], [3, 0]):
+        want = vals
+        for ax in axes:
+            want = np.cumsum(want, axis=ax)
+        want = np.pad(want, [(int(ax in axes), 0) for ax in range(vals.ndim)])
+        got = prefix_sums(vals, axes)
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+        out = np.zeros(want.shape)
+        assert prefix_sums(vals, axes, out=out) is out
+        np.testing.assert_array_equal(out.view(np.int64), want.view(np.int64))
 
 
 @settings(max_examples=60, deadline=None)
