@@ -1,92 +1,14 @@
 """Desk-scale laboratory for twisted strong maximal averages on the
 integer Heisenberg lattice: exact lattice geometry, weighted maximal
 fields with independent reference evaluators, covering selections with
-replayable audits, and seeded weak-type experiments."""
+replayable audits, and seeded weak-type experiments.
 
-from .lattice import (
-    DomainError,
-    GridSpec,
-    InvariantViolation,
-    PrefixTable,
-    RangeError,
-    Rectangle,
-    RectangleFamily,
-    ScalarField,
-    box_sum,
-    count_rectangles,
-    enumerate_intervals,
-    enumerate_rectangles,
-    grid_from_config,
-    grid_to_config,
-    lebesgue_volume,
-    load_grid_config,
-    random_rectangle,
-    weighted_volume,
-)
-from .weights import (
-    ComparabilityReport,
-    WeightField,
-    eta_survey,
-    exact_eta,
-    hash_uniform,
-    make_constant_weight,
-    make_perturbed_weight,
-    make_power_weight,
-    parse_weight,
-)
-from .heisenberg import (
-    SHIFT_STANDARD,
-    SHIFT_SWAPPED,
-    GroupPoint,
-    MaximalField,
-    argmax_rectangle,
-    group_identity,
-    group_inverse,
-    group_multiply,
-    level_set,
-    maximal_field,
-    maximal_field_reference,
-    maximal_group_form,
-    maximal_twisted_form,
-    read_field_binary,
-    read_field_csv,
-    twisted_shift,
-    untwisted_maximal_field,
-    write_field_binary,
-    write_field_csv,
-)
-from .covering import (
-    CoveringReport,
-    Selection,
-    covering_experiment,
-    covering_select,
-    cross_section_volume,
-    export_rectangles_csv,
-    import_rectangles_csv,
-    indicator_power_sum,
-    indicator_sum_norm,
-    order_for_selection,
-    overlap_counts,
-    replay_selection,
-    slice_union_ratios,
-    triple_cross_section,
-    union_mask,
-    union_volume,
-)
-from .harness import (
-    GENERATORS,
-    BoundReport,
-    ExperimentConfig,
-    gen_box_indicators,
-    gen_dense_uniform,
-    gen_point_masses,
-    gen_sparse_signs,
-    lambda_ladder,
-    lp_norm,
-    run_experiment,
-    strong_ratio,
-    weak_type_quantity,
-    worker_count,
-)
+The package exports exactly the names in its modules' __all__ lists."""
+
+from .lattice import *
+from .weights import *
+from .heisenberg import *
+from .covering import *
+from .harness import *
 
 __version__ = "0.1.0"

@@ -41,7 +41,7 @@ __all__ = [
     "cross_section_volume",
     "export_rectangles_csv",
     "import_rectangles_csv",
-    "indicator_sum_norm",
+    "indicator_power_sum",
     "order_for_selection",
     "overlap_counts",
     "replay_selection",
@@ -218,11 +218,6 @@ def indicator_power_sum(rects: Sequence[Rectangle], w: WeightField, p: float) ->
         raise RangeError(f"p must be > 1, got {p}")
     counts = overlap_counts(rects, w.grid)
     return float(((counts.astype(np.float64) ** p) * w.full_values()).sum())
-
-
-def indicator_sum_norm(rects: Sequence[Rectangle], w: WeightField, p: float) -> float:
-    """L^p(w) norm of the sum of the rectangle indicators, p > 1."""
-    return indicator_power_sum(rects, w, p) ** (1.0 / p)
 
 
 @dataclass(frozen=True)

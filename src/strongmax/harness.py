@@ -40,6 +40,10 @@ __all__ = [
     "ExperimentConfig",
     "GENERATORS",
     "TrialRow",
+    "gen_box_indicators",
+    "gen_dense_uniform",
+    "gen_point_masses",
+    "gen_sparse_signs",
     "lambda_ladder",
     "lp_norm",
     "run_experiment",
@@ -69,34 +73,27 @@ def lambda_ladder(mf, rungs: int = 64) -> np.ndarray:
     return np.geomspace(float(pos.min()), float(pos.max()), rungs) * (1.0 - 1e-9)
 
 
-def _field_and_norm(f, omega, p, family, mf, convention, quantity: str) -> tuple[MaximalField, float]:
-    """Checked p > 1, M f (from the family unless given) and nonzero ||f||_Lp(w)."""
+def _checked_norm(f, omega, p, quantity: str) -> float:
+    """||f||_Lp(w) after checking p > 1 and that it is nonzero."""
     if not p > 1:
         raise RangeError(f"p must be > 1, got {p}")
-    if mf is None:
-        if family is None:
-            raise DomainError("pass a rectangle family or a precomputed maximal field")
-        mf = maximal_field(f, omega, family, convention)
     denom = lp_norm(f, omega, p)
     if denom == 0:
         raise DomainError(f"the zero field has no {quantity}")
-    return mf, denom
+    return denom
 
 
 def weak_type_quantity(
     f: ScalarField,
     omega: WeightField,
     p: float,
+    mf: MaximalField,
     ladder: Sequence[float] | None = None,
-    *,
-    family: RectangleFamily | None = None,
-    mf: MaximalField | None = None,
-    convention: str = SHIFT_STANDARD,
     rungs: int = 64,
 ) -> float:
-    """Best ladder level of lam * vol_w(level set)^(1/p), normalised by
-    ||f||_Lp(w); needs either a family to evaluate M f or the field itself."""
-    mf, denom = _field_and_norm(f, omega, p, family, mf, convention, "weak-type quantity")
+    """Best ladder level of lam * vol_w({mf > lam})^(1/p), normalised by
+    ||f||_Lp(w), where mf is M f."""
+    denom = _checked_norm(f, omega, p, "weak-type quantity")
     if ladder is None:
         ladder = lambda_ladder(mf, rungs)
     lams = np.asarray(ladder, dtype=np.float64)
@@ -111,17 +108,9 @@ def weak_type_quantity(
     return best / denom
 
 
-def strong_ratio(
-    f: ScalarField,
-    omega: WeightField,
-    p: float,
-    *,
-    family: RectangleFamily | None = None,
-    mf: MaximalField | None = None,
-    convention: str = SHIFT_STANDARD,
-) -> float:
-    """||M f||_Lp(w) / ||f||_Lp(w)."""
-    mf, denom = _field_and_norm(f, omega, p, family, mf, convention, "strong ratio")
+def strong_ratio(f: ScalarField, omega: WeightField, p: float, mf: MaximalField) -> float:
+    """||M f||_Lp(w) / ||f||_Lp(w), where mf is M f."""
+    denom = _checked_norm(f, omega, p, "strong ratio")
     return lp_norm(mf, omega, p) / denom
 
 
@@ -218,8 +207,8 @@ def _trial_rows(cfg: ExperimentConfig, size: int, trial: int) -> list[TrialRow]:
     mf = maximal_field(f, w, family, cfg.convention)
     out = []
     for p in cfg.p_values:
-        weak = weak_type_quantity(f, w, p, family=family, mf=mf, rungs=cfg.ladder_rungs)
-        strong = strong_ratio(f, w, p, family=family, mf=mf)
+        weak = weak_type_quantity(f, w, p, mf, rungs=cfg.ladder_rungs)
+        strong = strong_ratio(f, w, p, mf)
         out.append(TrialRow(size, trial, p, weak, strong))
     return out
 

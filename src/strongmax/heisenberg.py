@@ -55,11 +55,9 @@ __all__ = [
     "group_identity",
     "group_inverse",
     "group_multiply",
-    "level_set",
     "maximal_field",
     "maximal_field_reference",
     "maximal_group_form",
-    "maximal_twisted_form",
     "read_field_binary",
     "read_field_csv",
     "twisted_shift",
@@ -177,13 +175,6 @@ class MaximalField:
             raise DomainError(f"field shape {vals.shape} != grid shape {self.grid.shape}")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
-
-
-def level_set(mf, lam: float) -> np.ndarray:
-    """Boolean mask of the super-level set {M > lam}; lam must be positive."""
-    if not lam > 0:
-        raise RangeError(f"level must be positive, got {lam}")
-    return np.asarray(mf.values) > lam
 
 
 def _as_point_coords(x, grid: GridSpec) -> tuple[int, ...]:
@@ -614,20 +605,6 @@ def _point_column(x, grid: GridSpec) -> tuple[tuple[int, ...], int]:
         raise DomainError(f"point {coords} outside extents {grid.extents}")
     col = np.ravel_multi_index(np.subtract(coords, grid.lows)[: 2 * grid.n], grid.spatial_shape)
     return coords, int(col)
-
-
-def maximal_twisted_form(
-    f: ScalarField,
-    omega: WeightField,
-    x,
-    family: RectangleFamily,
-    convention: str = SHIFT_STANDARD,
-) -> float:
-    """Twisted weighted maximal average at one grid point."""
-    _check_inputs(f, omega, family, convention)
-    coords, col = _point_column(x, f.grid)
-    vals = _column_values(f, omega, family, np.asarray([col]), convention)
-    return float(vals[0, coords[-1] - f.grid.t_lo])
 
 
 # ---------------------------------------------------------------------------

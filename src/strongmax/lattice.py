@@ -1,4 +1,4 @@
-"""Integer-lattice geometry: grids, cube-product rectangles, prefix tables.
+"""Integer-lattice geometry: grids, cube-product rectangles, prefix sums.
 
 Cells are unit cubes of Z^d indexed by their integer coordinates, with
 d = 2n + 1 and axes ordered u_1..u_n, v_1..v_n, t.  The 2n spatial axes
@@ -25,19 +25,13 @@ __all__ = [
     "GridSpec",
     "Rectangle",
     "ScalarField",
-    "PrefixTable",
     "RectangleFamily",
-    "box_sum",
     "count_rectangles",
-    "enumerate_intervals",
     "enumerate_rectangles",
     "grid_from_config",
     "grid_to_config",
-    "lebesgue_volume",
     "load_grid_config",
-    "prefix_sums",
     "random_rectangle",
-    "weighted_volume",
 ]
 
 
@@ -309,22 +303,6 @@ class Rectangle:
         return tuple(out)
 
 
-def lebesgue_volume(r: Rectangle) -> int:
-    """Cell count of the rectangle."""
-    return r.volume
-
-
-def weighted_volume(w, r: Rectangle) -> float:
-    """Sum of cell weights over the rectangle (rectangle inside the extents).
-
-    Raises InvariantViolation if any participating weight is not positive.
-    """
-    vals = w.rectangle_cell_weights(r)
-    if not np.all(vals > 0):
-        raise InvariantViolation("weight must be strictly positive on the rectangle")
-    return float(vals.sum())
-
-
 @dataclass(frozen=True, eq=False)
 class ScalarField:
     """Float64 samples on the grid cells, zero outside the extents."""
@@ -380,8 +358,9 @@ class ScalarField:
 
 
 def prefix_sums(values: np.ndarray, axes: Iterable[int], out: np.ndarray | None = None) -> np.ndarray:
-    """Cumulative sums along each of axes, then one zero in front on each
-    of them: entry i along such an axis sums the first i values.
+    """Cumulative sums along each of axes (one at least), then one zero in
+    front on each of them: entry i along such an axis sums the first i
+    values.
 
     Summed with one np.add per slab, into out if given: a float64 buffer
     of the result's shape whose zero border the caller keeps.  The first
@@ -393,8 +372,6 @@ def prefix_sums(values: np.ndarray, axes: Iterable[int], out: np.ndarray | None 
     if out is None:
         out = np.zeros([w + (ax in axes) for ax, w in enumerate(values.shape)])
     inner = out[tuple(slice(int(ax in axes), None) for ax in range(values.ndim))]
-    if not axes:
-        np.copyto(inner, values)
     for j, ax in enumerate(axes):
         lead = (slice(None),) * ax
         slabs = [inner[lead + (i,)] for i in range(values.shape[ax])]
@@ -403,43 +380,6 @@ def prefix_sums(values: np.ndarray, axes: Iterable[int], out: np.ndarray | None 
         for i in range(1, len(slabs)):
             np.add(slabs[i - 1], slabs[i] if j else values[lead + (i,)], out=slabs[i])
     return out
-
-
-class PrefixTable:
-    """Zero-padded cumulative sums for O(2^d) box sums over the extents.
-
-    full  cumulative over every axis, shape = grid shape + 1 per axis.
-    """
-
-    def __init__(self, grid: GridSpec, values: np.ndarray):
-        values = np.asarray(values, dtype=np.float64)
-        if values.shape != grid.shape:
-            raise DomainError(f"value shape {values.shape} != grid shape {grid.shape}")
-        self.grid = grid
-        self.full = prefix_sums(values, range(grid.d))
-
-    @classmethod
-    def of_field(cls, f: ScalarField) -> "PrefixTable":
-        return cls(f.grid, f.values)
-
-    def box_sum(self, r: Rectangle) -> float:
-        """Exact sum over the rectangle, which must lie inside the extents."""
-        if not r.within(self.grid):
-            raise DomainError(f"rectangle {r.bounds} outside extents {self.grid.extents}")
-        d = self.grid.d
-        lows = self.grid.lows
-        lo_idx = [lo - glo for (lo, _), glo in zip(r.bounds, lows)]
-        hi_idx = [hi - glo + 1 for (_, hi), glo in zip(r.bounds, lows)]
-        total = 0.0
-        for bits in itertools.product((0, 1), repeat=d):
-            corner = tuple(hi_idx[ax] if b else lo_idx[ax] for ax, b in enumerate(bits))
-            sign = -1 if (d - sum(bits)) % 2 else 1
-            total += sign * self.full[corner]
-        return float(total)
-
-
-def box_sum(table: PrefixTable, r: Rectangle) -> float:
-    return table.box_sum(r)
 
 
 def _side_options(cap: int, dyadic_only: bool, smallest: int = 1) -> list[int]:
@@ -451,21 +391,6 @@ def _side_options(cap: int, dyadic_only: bool, smallest: int = 1) -> list[int]:
             s *= 2
         return out
     return list(range(max(1, smallest), cap + 1))
-
-
-def enumerate_intervals(
-    lo: int, hi: int, *, containing: int | None = None, dyadic_only: bool = False
-) -> Iterator[tuple[int, int]]:
-    """Closed subintervals of [lo, hi] in (start, length) lexicographic order."""
-    if lo > hi:
-        raise DomainError(f"empty extent ({lo}, {hi})")
-    if containing is not None and not lo <= containing <= hi:
-        raise DomainError(f"point {containing} outside [{lo}, {hi}]")
-    top = hi if containing is None else containing
-    for a in range(lo, top + 1):
-        need = 1 if containing is None else containing - a + 1
-        for length in _side_options(hi - a + 1, dyadic_only, smallest=need):
-            yield (a, a + length - 1)
 
 
 def enumerate_rectangles(

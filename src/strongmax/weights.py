@@ -43,6 +43,7 @@ __all__ = [
     "eta_survey",
     "EtaRow",
     "ComparabilityReport",
+    "hash_uniform",
 ]
 
 _SPLIT_1 = np.uint64(0x9E3779B97F4A7C15)

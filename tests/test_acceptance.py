@@ -283,11 +283,11 @@ def test_criterion_6_weak_type_survey():
         mf = maximal_field(f, w, fam)
         variants = [(f3, w, maximal_field(f3, w, fam)), (f, w7, maximal_field(f, w7, fam))]
         for p in p_values:
-            base_weak = weak_type_quantity(f, w, p, family=fam, mf=mf)
-            base_strong = strong_ratio(f, w, p, family=fam, mf=mf)
+            base_weak = weak_type_quantity(f, w, p, mf=mf)
+            base_strong = strong_ratio(f, w, p, mf=mf)
             for ff, ww, m in variants:
-                dev_w = abs(weak_type_quantity(ff, ww, p, family=fam, mf=m) - base_weak)
-                dev_s = abs(strong_ratio(ff, ww, p, family=fam, mf=m) - base_strong)
+                dev_w = abs(weak_type_quantity(ff, ww, p, mf=m) - base_weak)
+                dev_s = abs(strong_ratio(ff, ww, p, mf=m) - base_strong)
                 worst_dev = max(worst_dev, dev_w / base_weak, dev_s / base_strong)
     assert worst_dev <= 1e-12
     elapsed = time.perf_counter() - t0

@@ -14,7 +14,6 @@ from strongmax import (
     covering_select,
     cross_section_volume,
     indicator_power_sum,
-    indicator_sum_norm,
     make_constant_weight,
     make_perturbed_weight,
     make_power_weight,
@@ -207,7 +206,6 @@ def test_indicator_power_sum_example():
     # six singly, one doubly covered cell: 6 + 2^2
     assert indicator_power_sum([a, b], w, 2.0) == 10.0
     assert union_volume([a, b], w) == 7.0
-    assert indicator_sum_norm([a, b], w, 2.0) == pytest.approx(np.sqrt(10.0), rel=1e-15)
     with pytest.raises(RangeError):
         indicator_power_sum([a], w, 1.0)
 

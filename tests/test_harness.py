@@ -121,7 +121,7 @@ def test_weak_type_constant_field_approaches_one():
     fam = RectangleFamily(g)
     f = ScalarField.constant(g, 1.0)
     w = make_constant_weight(g)
-    got = weak_type_quantity(f, w, 2.0, family=fam)
+    got = weak_type_quantity(f, w, 2.0, mf=maximal_field(f, w, fam))
     # the top rung sits a bracket below the single level
     assert 1.0 - 1e-8 < got < 1.0
 
@@ -131,7 +131,7 @@ def test_weak_type_ladder_above_the_maximum():
     fam = RectangleFamily(g)
     f = ScalarField.point_mass(g, (1, 1, 1))
     w = make_constant_weight(g)
-    assert weak_type_quantity(f, w, 2.0, ladder=[5.0], family=fam) == 0.0
+    assert weak_type_quantity(f, w, 2.0, ladder=[5.0], mf=maximal_field(f, w, fam)) == 0.0
 
 
 def test_weak_type_rejects_bad_inputs():
@@ -139,14 +139,14 @@ def test_weak_type_rejects_bad_inputs():
     fam = RectangleFamily(g)
     f = ScalarField.point_mass(g, (1, 1, 1))
     w = make_constant_weight(g)
+    mf = maximal_field(f, w, fam)
     with pytest.raises(RangeError):
-        weak_type_quantity(f, w, 1.0, family=fam)
+        weak_type_quantity(f, w, 1.0, mf=mf)
+    zero = ScalarField.zeros(g)
     with pytest.raises(DomainError):
-        weak_type_quantity(f, w, 2.0)  # neither family nor field
-    with pytest.raises(DomainError):
-        weak_type_quantity(ScalarField.zeros(g), w, 2.0, family=fam)
+        weak_type_quantity(zero, w, 2.0, ladder=[1.0], mf=maximal_field(zero, w, fam))
     with pytest.raises(RangeError):
-        weak_type_quantity(f, w, 2.0, ladder=[-1.0], family=fam)
+        weak_type_quantity(f, w, 2.0, ladder=[-1.0], mf=mf)
 
 
 def test_chebyshev_weak_below_strong():
@@ -168,7 +168,7 @@ def test_strong_ratio_unit_example():
     fam = RectangleFamily(g)
     f = ScalarField.constant(g, 3.0)
     w = make_constant_weight(g)
-    assert strong_ratio(f, w, 2.0, family=fam) == 1.0
+    assert strong_ratio(f, w, 2.0, mf=maximal_field(f, w, fam)) == 1.0
 
 
 def test_strong_ratio_at_least_one_near():
@@ -178,7 +178,7 @@ def test_strong_ratio_at_least_one_near():
     w = make_power_weight(g, (0.5, 1.0))
     f = ScalarField(g, rng.uniform(0, 3, size=g.shape))
     # the unit box at each point reproduces |f| up to rounding
-    assert strong_ratio(f, w, 2.0, family=fam) >= 1.0 - 1e-12
+    assert strong_ratio(f, w, 2.0, mf=maximal_field(f, w, fam)) >= 1.0 - 1e-12
 
 
 def test_weak_homogeneity_and_weight_scale():
@@ -187,15 +187,18 @@ def test_weak_homogeneity_and_weight_scale():
     fam = RectangleFamily(g)
     w = make_power_weight(g, (1.0, 1.0))
     f = ScalarField(g, rng.integers(0, 8, size=g.shape).astype(np.float64))
+    tripled = ScalarField(g, 3.0 * f.values)
+    scaled = w.scaled(7.0)
+    mf = maximal_field(f, w, fam)
+    mf_tripled = maximal_field(tripled, w, fam)
+    mf_scaled = maximal_field(f, scaled, fam)
     for p in (1.5, 2.0):
-        base_w = weak_type_quantity(f, w, p, family=fam)
-        base_s = strong_ratio(f, w, p, family=fam)
-        tripled = ScalarField(g, 3.0 * f.values)
-        assert weak_type_quantity(tripled, w, p, family=fam) == pytest.approx(base_w, rel=1e-12)
-        assert strong_ratio(tripled, w, p, family=fam) == pytest.approx(base_s, rel=1e-12)
-        scaled = w.scaled(7.0)
-        assert weak_type_quantity(f, scaled, p, family=fam) == pytest.approx(base_w, rel=1e-12)
-        assert strong_ratio(f, scaled, p, family=fam) == pytest.approx(base_s, rel=1e-12)
+        base_w = weak_type_quantity(f, w, p, mf=mf)
+        base_s = strong_ratio(f, w, p, mf=mf)
+        assert weak_type_quantity(tripled, w, p, mf=mf_tripled) == pytest.approx(base_w, rel=1e-12)
+        assert strong_ratio(tripled, w, p, mf=mf_tripled) == pytest.approx(base_s, rel=1e-12)
+        assert weak_type_quantity(f, scaled, p, mf=mf_scaled) == pytest.approx(base_w, rel=1e-12)
+        assert strong_ratio(f, scaled, p, mf=mf_scaled) == pytest.approx(base_s, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

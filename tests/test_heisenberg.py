@@ -32,13 +32,11 @@ from strongmax import (
     group_inverse,
     group_multiply,
     hash_uniform,
-    level_set,
     make_constant_weight,
     make_perturbed_weight,
     make_power_weight,
     maximal_field,
     maximal_group_form,
-    maximal_twisted_form,
     parse_weight,
     read_field_binary,
     read_field_csv,
@@ -167,9 +165,7 @@ def test_point_values_match_python_oracle():
         for w in [make_constant_weight(g), make_power_weight(g, (1.0, 1.0))]:
             mf = maximal_field(f, w, fam)
             for x in [(0, 0, 0), (1, 1, 1), (2, 0, 1), (1, 2, 2)]:
-                want = _twisted_oracle(f, w, x, fam)
-                assert maximal_twisted_form(f, w, x, fam) == want
-                assert mf.values[x] == want
+                assert mf.values[x] == _twisted_oracle(f, w, x, fam)
 
 
 def test_point_values_match_python_oracle_swapped():
@@ -178,9 +174,9 @@ def test_point_values_match_python_oracle_swapped():
     fam = RectangleFamily(g)
     f = _int_field(g, rng)
     w = make_constant_weight(g)
+    mf = maximal_field(f, w, fam, SHIFT_SWAPPED)
     for x in [(0, 1, 2), (2, 2, 0)]:
-        want = _twisted_oracle(f, w, x, fam, SHIFT_SWAPPED)
-        assert maximal_twisted_form(f, w, x, fam, SHIFT_SWAPPED) == want
+        assert mf.values[x] == _twisted_oracle(f, w, x, fam, SHIFT_SWAPPED)
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +441,7 @@ def test_group_form_accepts_points_off_the_extents():
     f = ScalarField.point_mass(g, (1, 1, 1))
     assert maximal_group_form(f, (5, 5, 5), fam) >= 0.0
     with pytest.raises(DomainError):
-        maximal_twisted_form(f, make_constant_weight(g), (5, 5, 5), fam)
+        argmax_rectangle(f, make_constant_weight(g), (5, 5, 5), fam)
 
 
 # ---------------------------------------------------------------------------
@@ -925,22 +921,6 @@ def test_equivalence_property_random_grids(seed, mu):
     mf = maximal_field(f, make_constant_weight(g), fam)
     x = tuple(int(c) for c in rng.integers(0, 3, size=3))
     assert maximal_group_form(f, x, fam) == mf.values[x]
-
-
-# ---------------------------------------------------------------------------
-# level sets
-
-
-def test_level_set_mask():
-    g = GridSpec.cube(1, 3, mu=1)
-    fam = RectangleFamily(g)
-    f = ScalarField.point_mass(g, (1, 1, 1))
-    mf = maximal_field(f, make_constant_weight(g), fam)
-    mask = level_set(mf, 0.5)
-    np.testing.assert_array_equal(mask, mf.values > 0.5)
-    assert mask[1, 1, 1]
-    with pytest.raises(RangeError):
-        level_set(mf, 0.0)
 
 
 # ---------------------------------------------------------------------------

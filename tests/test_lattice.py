@@ -1,84 +1,29 @@
-"""Grid, rectangle, prefix-table and enumeration tests.
+"""Grid, rectangle, prefix-sum and enumeration tests.
 
 Frozen values are either asserted from the definitions directly or
-recomputed here by brute force (itertools / plain python sums) so the
+recomputed here by brute force (full enumeration, np.cumsum) so the
 numpy paths have an independent check.
 """
 
-import itertools
 import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from strongmax import (
     DomainError,
     GridSpec,
-    InvariantViolation,
-    PrefixTable,
     Rectangle,
     RectangleFamily,
     ScalarField,
-    box_sum,
     count_rectangles,
-    enumerate_intervals,
     enumerate_rectangles,
     grid_from_config,
     grid_to_config,
-    lebesgue_volume,
     load_grid_config,
     random_rectangle,
-    weighted_volume,
 )
 from strongmax.lattice import prefix_sums
-from strongmax.weights import make_power_weight
-
-
-# ---------------------------------------------------------------------------
-# intervals
-
-
-def test_interval_enumeration_three_cells():
-    # hand enumeration of the closed subintervals of [0, 2]
-    assert list(enumerate_intervals(0, 2)) == [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
-
-
-def test_interval_enumeration_containing_marked_cell():
-    # of the six, exactly the four meeting cell 1
-    assert list(enumerate_intervals(0, 2, containing=1)) == [(0, 1), (0, 2), (1, 1), (1, 2)]
-
-
-def test_interval_enumeration_dyadic():
-    # lengths restricted to 1, 2, 4 inside [0, 3]
-    got = list(enumerate_intervals(0, 3, dyadic_only=True))
-    assert got == [(0, 0), (0, 1), (0, 3), (1, 1), (1, 2), (2, 2), (2, 3), (3, 3)]
-
-
-def test_interval_enumeration_rejects_bad_inputs():
-    with pytest.raises(DomainError):
-        list(enumerate_intervals(2, 1))
-    with pytest.raises(DomainError):
-        list(enumerate_intervals(0, 2, containing=5))
-
-
-@given(lo=st.integers(-20, 20), width=st.integers(1, 30))
-def test_interval_count_closed_form(lo, width):
-    hi = lo + width - 1
-    got = list(enumerate_intervals(lo, hi))
-    assert len(got) == width * (width + 1) // 2
-    assert len(set(got)) == len(got)
-    assert got == sorted(got, key=lambda ab: (ab[0], ab[1] - ab[0]))
-    assert all(lo <= a <= b <= hi for a, b in got)
-
-
-@given(lo=st.integers(-10, 10), width=st.integers(1, 20), data=st.data())
-def test_interval_containing_is_membership_filter(lo, width, data):
-    hi = lo + width - 1
-    c = data.draw(st.integers(lo, hi))
-    expect = [(a, b) for a, b in enumerate_intervals(lo, hi) if a <= c <= b]
-    assert list(enumerate_intervals(lo, hi, containing=c)) == expect
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +103,6 @@ def test_rectangle_volume_and_bounds():
     assert r.sides == (2, 2)
     assert r.t_len == 3
     assert r.volume == 12
-    assert lebesgue_volume(r) == 12
     assert r.bounds == ((1, 2), (0, 1), (4, 6))
 
 
@@ -240,35 +184,7 @@ def test_enumeration_cube_condition_on_two_factor_axes():
 
 
 # ---------------------------------------------------------------------------
-# prefix tables
-
-
-def _brute_box_sum(vals, grid, r):
-    s = r.slices(grid)
-    total = 0.0
-    for idx in itertools.product(*[range(sl.start, sl.stop) for sl in s]):
-        total += float(vals[idx])
-    return total
-
-
-def test_box_sum_against_plain_loops():
-    rng = np.random.default_rng(71)
-    g = GridSpec(n=1, extents=((0, 3), (-2, 1), (0, 2)), factors=(1, 1), mu=1)
-    vals = rng.integers(-5, 6, size=g.shape).astype(np.float64)
-    table = PrefixTable(g, vals)
-    for _ in range(50):
-        r = random_rectangle(g, rng)
-        assert box_sum(table, r) == _brute_box_sum(vals, g, r)
-
-
-def test_box_sum_of_field():
-    g = GridSpec.cube(1, 3)
-    f = ScalarField.point_mass(g, (1, 1, 1), height=2.0)
-    table = PrefixTable.of_field(f)
-    whole = Rectangle.from_bounds([(0, 2)] * 3, (1, 1))
-    assert box_sum(table, whole) == 2.0
-    corner = Rectangle.from_bounds([(0, 0), (0, 0), (0, 0)], (1, 1))
-    assert box_sum(table, corner) == 0.0
+# prefix sums
 
 
 def test_prefix_sums_add_as_cumsum_does():
@@ -288,24 +204,6 @@ def test_prefix_sums_add_as_cumsum_does():
         out = np.zeros(want.shape)
         assert prefix_sums(vals, axes, out=out) is out
         np.testing.assert_array_equal(out.view(np.int64), want.view(np.int64))
-
-
-@settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2**31 - 1))
-def test_box_sum_random_grids(seed):
-    rng = np.random.default_rng(seed)
-    widths = rng.integers(2, 5, size=3)
-    lows = rng.integers(-3, 3, size=3)
-    g = GridSpec(
-        n=1,
-        extents=tuple((int(lo), int(lo + wdt - 1)) for lo, wdt in zip(lows, widths)),
-        factors=(1, 1),
-        mu=1,
-    )
-    vals = rng.integers(0, 9, size=g.shape).astype(np.float64)
-    table = PrefixTable(g, vals)
-    r = random_rectangle(g, rng)
-    assert box_sum(table, r) == _brute_box_sum(vals, g, r)
 
 
 # ---------------------------------------------------------------------------
@@ -333,21 +231,6 @@ def test_scalar_field_values_are_read_only():
     f = ScalarField.zeros(g)
     with pytest.raises(ValueError):
         f.values[0, 0, 0] = 1.0
-
-
-def test_weighted_volume():
-    g = GridSpec(n=1, extents=((0, 3), (0, 0), (0, 0)), factors=(1, 1), mu=1)
-    w = make_power_weight(g, (1.0, 0.0))
-    r = Rectangle.from_bounds([(0, 3), (0, 0), (0, 0)], (1, 1))
-    # u profile is |c + 1/2|: 0.5 + 1.5 + 2.5 + 3.5
-    assert weighted_volume(w, r) == 8.0
-
-    class _Degenerate:
-        def rectangle_cell_weights(self, r):
-            return np.zeros(r.volume)
-
-    with pytest.raises(InvariantViolation):
-        weighted_volume(_Degenerate(), r)
 
 
 # ---------------------------------------------------------------------------
