@@ -262,6 +262,44 @@ def _corner_rows(tabs: list[np.ndarray], at) -> np.ndarray:
     return flat
 
 
+@lru_cache(maxsize=64)
+def _clip_groups(family: RectangleFamily):
+    """The options of each spatial factor grouped by the window of the
+    extents they clip to, per anchor position on the factor's axes.
+
+    Returns per factor i (tabs, groups, counts): tabs are the
+    _corner_tables of the extents' zero-bordered summed-area table (dims
+    spatial_shape + 1), which _box_blocks folds on every call; groups
+    lists per anchor position on i's axes, flat in C order,
+    (order, starts), order (n_o_i,) sorting the options of
+    _factor_options(family, i) by their clipped corner columns, stably,
+    and starts (g,) the first entries of its g runs of equal columns;
+    counts (positions,) holds each g.  The options of one group sum one
+    window of the extents: their columns are equal."""
+    grid = family.grid
+    shape = grid.spatial_shape
+    out = []
+    for i, tabs in enumerate(_corner_tables(family, np.add(shape, 1), [np.arange(w) for w in shape])):
+        groups = []
+        for at in np.ndindex(*(shape[a] for a in grid.factor_axes(i))):
+            flat = _corner_rows(tabs, at)
+            order = np.lexsort(flat[::-1])
+            srt = flat[:, order]
+            starts = np.flatnonzero(np.r_[True, np.any(srt[:, 1:] != srt[:, :-1], axis=0)])
+            groups.append((order, starts))
+        out.append((tabs, groups, np.asarray([len(starts) for _, starts in groups])))
+    return tuple(out)
+
+
+def _group_volumes(vol: np.ndarray, groups, reduce) -> np.ndarray:
+    """Reduce the weighted volumes vol (n_o_0, .., n_o_m) of a column's
+    boxes over each factor's groups ((order, starts) per factor) with the
+    ufunc reduce: shape (g_0, .., g_m)."""
+    for i, (order, starts) in enumerate(groups):
+        vol = reduce.reduceat(np.take(vol, order, axis=i), starts, axis=i)
+    return vol
+
+
 def _fold(table, axis, flat, out, slab):
     """Box sums of one spatial factor out of a summed-area table whose axis
     `axis` holds the factor's axes merged in C order: the flat indices
@@ -282,35 +320,62 @@ def _box_blocks(
     family: RectangleFamily,
     cols: np.ndarray,
     convention: str,
-) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
+) -> Iterator[tuple[int, tuple, np.ndarray, np.ndarray]]:
     """Box stage of the fast path, one anchor column at a time (flat
-    spatial indices cols, C order).  Every cell's sheared samples of anchor
-    cols[k] lie on a common axis of n_c = t_len + 2 * top cuts from
-    c_lo = t_lo - top + 1, top being the family's longest t length: the
-    weighted t-prefix rows of omega * |f| are padded with n_c zeros in
-    front and n_c copies of their total behind, so each cell reads one
-    n_c-wide window of its row, at its clipped shear.  prefix_sums sums
-    their spatial prefix p into the interior of a zero-bordered buffer.
-    _fold sums boxes out of p and out of the anchor's window of the weight
-    prefix pw one factor at a time, last first, and p's first factor one
-    run of its options per block.  Yields (k, bs, bv, wv) per block of
-    boxes bs.. of _box_tables: bv (n_c, nb) is stored cuts-major, bv[c, j]
-    being the sum of omega * |f| over box j of the anchor at sheared
-    t < c_lo + c, and wv (nb,) holds the boxes' weighted volumes; both
-    view per-call buffers the next block refills.
+    spatial indices cols, C order), one box per clipped data window.
+
+    f vanishes off the extents, so the spatial prefix p below spans only
+    them and every box corner is clipped to them.  At an anchor, the
+    options of a factor whose clipped corner columns coincide
+    (_clip_groups) take the same entries of every table in the same fold
+    order, so the boxes of one group, the product of one group per
+    factor, have bitwise equal sums at every cut.  A column folds one box
+    per group and gives it the least weighted volume of its members, the
+    computed minimum of their folded volumes: a group's boxes are nested,
+    one per side, but under real weights the folds' rounding can order
+    their volumes either way.  No maximum changes:
+    with num >= 0 an average num / (wv * L) cannot grow with wv, rounding
+    being monotone, and a negative num never raises a value that starts
+    at 0.
+
+    Every cell's sheared samples of anchor cols[k] lie on a common axis of
+    n_c = t_len + 2 * top cuts from c_lo = t_lo - top + 1, top being the
+    family's longest t length: the weighted t-prefix rows of omega * |f|
+    are padded with n_c zeros in front and n_c copies of their total
+    behind, so each cell reads one n_c-wide window of its row, at its
+    clipped shear, the anchor's combination of a per-call table of unit
+    anchors' shears.  prefix_sums sums their spatial prefix p into the
+    interior of a zero-bordered buffer.  _fold sums the groups' windows
+    out of p, and every box out of the anchor's window of the weight
+    prefix pw, one factor at a time, last first, and p's first factor one
+    run of its groups per block; np.minimum.reduceat then takes each
+    group's least volume, one factor axis at a time.  Yields
+    (k, at, bv, wv) per block of groups: at = (gs, groups, vol) holds the
+    block's first group gs in C order over the column's group counts
+    (g_0, .., g_m), the column's groups (order, starts) per factor and
+    vol (n_o_0, .., n_o_m), every box's own weighted volume in _box_tables
+    order; bv (n_c, nb) is stored cuts-major, bv[c, j] being the sum of
+    omega * |f| over group gs + j's window at sheared t < c_lo + c, and wv
+    (nb,) holds the groups' least volumes.  bv and vol view per-call
+    buffers that the next block refills.  A block is a run of the first
+    factor's groups that _BLOCK_BYTES sizes from the column's counts;
+    columns run widest block first, corner anchors having the fewest
+    groups.
 
     The working set is allocated once per call: the padded weighted rows,
     n_sp * (t_len + 1 + 2 * n_c); pw over the extents widened by the
     margins; p, prod(w_a + 1) * n_c; the weight window, prod(2 * s_a)
     with s_a the longest side on axis a, whose corner indices are the same
-    for every anchor; p's corner tables, sum_i sum_(a in factor i)
+    for every anchor; the shear table, 2n * n_sp; per factor a fold
+    result and a corner slab for p, sized by the widest column, and for
+    the weight window; and the cuts-major block.  Cached per family
+    (_clip_groups): p's corner tables, sum_i sum_(a in factor i)
     w_a * 2^N_i * n_o_i * 8 bytes, w_a being the extents' width on axis a,
-    N_i factor i's axis count and n_o_i its box options; per factor a fold
-    result and a corner slab for p and for the weight window; and the
-    cuts-major block, which _BLOCK_BYTES sizes.  A column allocates its
-    shear and window starts (n_sp,), its copy of the windows,
-    n_sp * n_c, and, for a factor of several axes, the sum of p's corner
-    rows.  No index table is built per column.
+    N_i factor i's axis count and n_o_i its box options, and the group
+    tables, n_o_i + g per anchor position on factor i's axes.  A column
+    allocates its shear and window starts (n_sp,), its copy of the
+    windows, n_sp * n_c, its groups' corner columns, their least volumes
+    and, for a factor of several axes, the sum of p's corner rows.
 
     Range: the set-up raises RangeError unless S = sum(omega * |f|) and
     the weight prefix's total W stay finite times the bounds below, so
@@ -350,11 +415,11 @@ def _box_blocks(
     # cut j, at t = c_lo + j, of cell r reads the t-prefix at
     # clip(c_lo + j + shear_r - t_lo, 0, L), entry n_c + that of its padded
     # row: entry j of the row's window at shear_r + 1 - top + n_c, clipped
-    # to the windows there are
+    # to the windows there are; the shear is linear in the anchor
     windows = np.lib.stride_tricks.sliding_window_view(rows, n_c, axis=1)
     cells = np.arange(n_sp)
+    shears = _shear(grid.mu, np.eye(sp, dtype=np.int64), coords_sp, convention)
     lows = np.asarray(grid.lows[:sp], dtype=np.int64)
-    # p spans the extents (f vanishes outside), so its corners are clipped;
     # every box corner of the anchor at b lies in pw's window of 2 * s
     # entries from b + margins - s + 1 per axis, s the longest side there,
     # at offsets that are the same for every anchor
@@ -362,43 +427,62 @@ def _box_blocks(
     p_dims, w_dims = np.add(grid.spatial_shape, 1), 2 * longest
     w_lo = np.subtract(margins, longest - 1)
     axs = [list(grid.factor_axes(i)) for i in range(len(grid.factors))]
-    p_tabs = _corner_tables(family, p_dims, [np.arange(w) for w in grid.spatial_shape])
+    clip = _clip_groups(family)
     w_flat = [_corner_rows(tabs, [0] * len(tabs)) for tabs in _corner_tables(family, w_dims, longest[:, None] - 1)]
-    n_o = [tabs[0].shape[2] for tabs in p_tabs]
-    inner = int(np.prod(n_o[1:]))
-    run = min(n_o[0], max(1, _BLOCK_BYTES // (2 * n_c * 8 * inner)))
+    n_o = [tabs[0].shape[2] for tabs, _, _ in clip]
+    # each column's position on each factor's axes and group counts g, its
+    # block run of first-factor groups and block width
+    idx = np.unravel_index(cols, grid.spatial_shape)
+    at = [np.ravel_multi_index([idx[a] for a in ax], [grid.spatial_shape[a] for a in ax]) for ax in axs]
+    g = np.stack([counts[pos] for (_, _, counts), pos in zip(clip, at)])
+    inner = np.prod(g[1:], axis=0)
+    runs = np.minimum(g[0], np.maximum(1, _BLOCK_BYTES // (2 * n_c * 8 * inner)))
     p_merged = [int(np.prod(p_dims[ax])) for ax in axs] + [n_c]
     w_merged = [int(np.prod(w_dims[ax])) for ax in axs]
     p_pad = np.zeros((*p_dims, n_c))
     p, w_win = p_pad.reshape(p_merged), np.empty(w_dims)
-    # per factor a fold result and a corner slab of p and of the weight
-    # window, and one cuts-major block
-    p_bufs = [np.empty((2, *p_merged[:i], n_o[i] if i else run, *n_o[i + 1 :], n_c)) for i in range(len(axs))]
+    # per factor a fold result and a corner slab of p, flat and sized for
+    # the most groups of factors i.. in a column (tails[i]) and of the
+    # weight window; one cuts-major block
+    tails = np.cumprod(g[::-1], axis=0)[::-1].max(axis=1)
+    p_bufs = [np.empty(2 * math.prod(p_merged[:i]) * int(tails[i]) * n_c) for i in range(1, len(axs))]
+    p_bufs.insert(0, np.empty(2 * int((runs * inner).max()) * n_c))
     w_bufs = [np.empty((2, *w_merged[:i], *n_o[i:])) for i in range(len(axs))]
-    cm = np.empty(p_bufs[0][0].size)
-    for k, col in enumerate(cols):
-        anchor = coords_sp[col]
-        start = _shear(grid.mu, anchor[None, :], coords_sp, convention)[0]
+    cm = np.empty(p_bufs[0].size // 2)
+
+    def bufs(i, shape):
+        return p_bufs[i][: 2 * math.prod(shape)].reshape(2, *shape)
+
+    for k in np.argsort(-runs * inner, kind="stable").tolist():
+        anchor = coords_sp[cols[k]]
+        start = anchor @ shears
         start += 1 - top + n_c
         # np.clip without its per-call Python checks (about 20 us)
         np.minimum(np.maximum(start, 0, out=start), L + 1 + n_c, out=start)
         prefix_sums(windows[cells, start].reshape(*grid.spatial_shape, n_c), range(sp), out=p_pad)
         base = anchor - lows
         np.copyto(w_win, pw[tuple(slice(b, b + d) for b, d in zip(base + w_lo, w_dims))])
-        sums, wv = p, w_win.reshape(w_merged)
+        # per factor the anchor's groups and their first options' corners
+        groups = [by_pos[where[k]] for (_, by_pos, _), where in zip(clip, at)]
+        firsts = [_corner_rows(c[0], base[ax])[:, order[starts]] for c, ax, (order, starts) in zip(clip, axs, groups)]
+        gk = g[:, k].tolist()
+        sums, vol = p, w_win.reshape(w_merged)
         for i in reversed(range(len(axs))):
-            wv = _fold(wv, i, w_flat[i], *w_bufs[i])
+            vol = _fold(vol, i, w_flat[i], *w_bufs[i])
             if i:
-                sums = _fold(sums, i, _corner_rows(p_tabs[i], base[axs[i]]), *p_bufs[i])
+                sums = _fold(sums, i, firsts[i], *bufs(i, (*p_merged[:i], *gk[i:], n_c)))
+        wv = _group_volumes(vol, groups, np.minimum)
         if not np.all(wv > 0):
             raise InvariantViolation("weighted volume must be positive on every box")
-        flat = _corner_rows(p_tabs[0], base[axs[0]])
-        for o in range(0, n_o[0], run):
-            pos = flat[:, o : o + run]
-            box_sums = _fold(sums, 0, pos, *p_bufs[0][:, : pos.shape[1]])
+        wv = wv.reshape(-1)
+        run, width = int(runs[k]), int(inner[k])
+        for o in range(0, gk[0], run):
+            pos = firsts[0][:, o : o + run]
+            box_sums = _fold(sums, 0, pos, *bufs(0, (pos.shape[1], *gk[1:], n_c)))
             bv = cm[: box_sums.size].reshape(n_c, -1)
             np.copyto(bv, box_sums.reshape(-1, n_c).T)
-            yield k, o * inner, bv, wv[o : o + run].reshape(-1)
+            gs = o * width
+            yield k, (gs, groups, vol), bv, wv[gs : gs + bv.shape[1]]
 
 
 # the unit-slice bound's rounding margin, and the least normal float,
@@ -410,16 +494,20 @@ _TINY = float(np.finfo(np.float64).tiny)
 def _prunes(t_len: int, lens: list[int]) -> bool:
     """Whether the interval stage prunes boxes: when the averages of the t
     lengths past 1, sum (t_len + L - 1), are at least 4 times the n_c - 1
-    unit slices that the bound reads.  Measured (median seconds of 5
-    alternating in-process pairs on integer, sparse and point data, n = 1
-    unless said): at ratios of 4.3 to 7.7 (full families of sizes 11 and
-    16, capped at t length 8 or 10 on sizes 14 and 12) pruning was faster
-    on all three, by 8 to 61%; at 4.2 and 4.7 (full, sizes 9 and 10) it
-    was 30% faster on integers and up to 14% slower on sparse and point
-    data; below 4 (full sizes 5 to 8, dyadic sizes 8 to 24, n = 2 dyadic
-    size 5) it was slower by 5 to 100% on sparse and point data, on which
-    more boxes survive, but for size 12 capped at t length 4 (ratio 2.2,
-    5 to 17% faster)."""
+    unit slices that the bound reads.  Measured on one box per clipped
+    window (median milliseconds of 5 alternating in-process pairs, pruned
+    against the per-length loop, n = 1 unless said): at ratios of 4.2 to
+    7.7 (full families of sizes 9 to 16, sizes 14 and 12 capped at t
+    length 8 or 10) pruning was faster on integer and dense data, by 6 to
+    50%, and on box indicators but at size 9; on sparse data faster from
+    ratio 7.7 and on size 14 capped (7 to 31%), slower at sizes 9 to 12
+    (+1 to +46%); on point masses slower everywhere (+5 to +83%), a
+    quarter of their groups surviving the bound.  Summed over the five
+    kinds it was behind at 4.2 and 4.7 (full sizes 9 and 10) and ahead
+    from 4.3 (size 14 capped) and 4.9 on, so the data do not move the
+    threshold from 4.  Below 4 (full sizes 5 to 8, size 12 capped at t
+    length 4, dyadic sizes 8 to 24, n = 2 dyadic size 5) it was slower by
+    up to 78%, or level."""
     n_c = t_len + 2 * lens[-1]
     return sum(t_len + Lt - 1 for Lt in lens[1:]) >= 4 * (n_c - 1)
 
@@ -433,8 +521,12 @@ def _column_values(
 ) -> np.ndarray:
     """Twisted maximal values on whole t columns, shape (len(cols), t_len).
 
-    Interval stage over _box_blocks, into out[k] for anchor cols[k].  With
-    bv cuts-major, every average is one prefix difference over one product
+    Interval stage over _box_blocks, into out[k] for anchor cols[k].  A
+    box below is one of its groups, one per clipped data window, whose
+    least volume gives every interval its members' greatest average where
+    the numerator is >= 0 (see _box_blocks): so the maximum over the
+    groups is the maximum over every box, bit for bit.  With bv
+    cuts-major, every average is one prefix difference over one product
     wv * L (_averages), and each prefix entry comes from the same gather,
     spatial prefix and per-factor folds in a fixed order whatever the
     block; so argmax_rectangle, running both stages on one column, reads
@@ -522,11 +614,12 @@ def _column_values(
     for k, _, bv, wv in blocks:
         nb = bv.shape[1]
         if u_buf is None:
-            # the first block is the widest; survivors go through in parts
-            # whose three interval tables (two while _averages subtracts,
-            # then the products) take half the t_len + top - 1 averages per
-            # box of a longest length, and as len(lo) >= t_len + top - 1, a
-            # part's gathered prefixes fit u's buffer
+            # the first block is the widest, _box_blocks running the widest
+            # column first; survivors go through in parts whose three
+            # interval tables (two while _averages subtracts, then the
+            # products) take half the t_len + top - 1 averages per box of a
+            # longest length, and as len(lo) >= t_len + top - 1, a part's
+            # gathered prefixes fit u's buffer
             u_buf, mask_buf = np.empty(n_s * nb), np.empty(n_s * nb, dtype=bool)
             part = max(1, (T + top - 1) * nb // (6 * len(lo)))
         # a nonzero average is at least 2^(grain - e_wv), wv < 2^(e_wv)
@@ -800,10 +893,15 @@ def argmax_rectangle(
 ) -> tuple[Rectangle, float]:
     """The rectangle attaining the twisted maximum at x, and that maximum.
 
-    Runs the fast path's two stages on x's column and reads its (box,
+    Runs the fast path's two stages on x's column and reads its (group,
     interval) table through t, so the value is the fast path's value at x,
-    bitwise what maximal_field stores there.  Among the entries equal to
-    it the first in (base corner, t_lo, per-factor sides, t length) wins.
+    bitwise what maximal_field stores there.  A group's greatest average
+    is at its least volume where its numerator is >= 0 and at its greatest
+    where it is negative, so the groups reaching the maximum are those
+    whose greater of the two equals it.  Their boxes, averaged with their
+    own volumes, give every (box, interval) entry equal to it (on a zero
+    maximum, every box of such a group); the first of these in (base
+    corner, t_lo, per-factor sides, t length) wins.
     """
     _check_inputs(f, omega, family, convention)
     grid = f.grid
@@ -811,17 +909,29 @@ def argmax_rectangle(
     sp, t = 2 * grid.n, coords[-1]
     lo_off, side_ax, _ = _box_tables(family)
     cut = family.t_len_choices()[-1] + t - grid.t_lo
-    top, ties = -np.inf, []
-    for _, bs, bv, wv in _box_blocks(f, omega, family, np.asarray([col]), convention):
+    top, ties, owner = -np.inf, [], None
+    for _, (gs, groups, vol), bv, wv in _box_blocks(f, omega, family, np.asarray([col]), convention):
+        if owner is None:
+            # every box's group, C order over the column's group counts,
+            # and the groups' greatest volumes
+            labels = []
+            for order, starts in groups:
+                label = np.empty_like(order)
+                label[order] = np.repeat(np.arange(len(starts)), np.diff(starts, append=len(order)))
+                labels.append(label)
+            owner = np.ravel_multi_index(np.meshgrid(*labels, indexing="ij"), [len(s) for _, s in groups]).reshape(-1)
+            most = _group_volumes(vol, groups, np.maximum).reshape(-1)
         for Lt in family.t_len_choices():
             # the Lt intervals through t start at t - Lt + 1 .. t
-            vals = _averages(bv, wv, slice(cut - Lt, cut), slice(cut, cut + Lt), Lt)
+            span = slice(cut - Lt, cut), slice(cut, cut + Lt), Lt
+            vals = np.maximum(_averages(bv, wv, *span), _averages(bv, most[gs : gs + len(wv)], *span))
             best = vals.max()
             if best > top:
                 top, ties = best, []
             if best == top:
-                j, box = np.nonzero(vals == top)
-                ties.append((np.full(j.shape, Lt), t - Lt + 1 + j, bs + box))
+                box = np.flatnonzero(np.isin(owner, gs + np.nonzero(vals == top)[1]))
+                j, m = np.nonzero(_averages(bv[:, owner[box] - gs], vol.reshape(-1)[box], *span) == top)
+                ties.append((np.full(j.shape, Lt), t - Lt + 1 + j, box[m]))
     t_len, t_lo, box = (np.concatenate(k) for k in zip(*ties))
     base = np.asarray(coords[:sp]) + lo_off[box]
     sides = side_ax[box][:, list(grid.factor_starts)]

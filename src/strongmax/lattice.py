@@ -49,10 +49,12 @@ class InvariantViolation(RuntimeError):
 
 # Working-set budget of the lab's blocked loops, in bytes, one constant for
 # all of them.  heisenberg._box_blocks sizes its box block by it: the box
-# sums and their cuts-major copy bv, 2 * n_c * 8 per box (the corner slab is
-# as large again); a block is a run of the first factor's options, one at
-# least.  weights._subset_sums sizes its rows of subset permutations by it:
-# an index row and its gathered, summed weights, 2 * V * 8 per row for a
+# sums and their cuts-major copy bv, 2 * n_c * 8 per box, a box standing
+# for one clipped data window of the column (the corner slab is as large
+# again); a block is a run of the first factor's window groups, one at
+# least, so a column with fewer groups takes fewer blocks.
+# weights._subset_sums sizes its rows of subset permutations by it: an
+# index row and its gathered, summed weights, 2 * V * 8 per row for a
 # rectangle of V cells, one row at least.  From bench/run.py runs on all
 # four workloads (CHANGES.md): 1 << 20 .. 1 << 22 ran alike within the
 # host's noise, with peak RSS growing in the budget; 1 << 26 ran 30-50%

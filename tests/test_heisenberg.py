@@ -303,17 +303,28 @@ def test_fast_path_chunking_is_inert(monkeypatch):
         w = make_power_weight(g, (1.0,) * (2 * g.n))
         cols = np.arange(int(np.prod(g.spatial_shape)))
         nbox = heisenberg._box_tables(fam)[0].shape[0]
+        # per column, the distinct windows its rectangles clip to
+        sp = 2 * g.n
+        windows = []
+        for cell in np.ndindex(*g.spatial_shape):
+            x = tuple(c + lo for c, lo in zip(cell, g.lows[:sp])) + (g.t_lo,)
+            clipped = {
+                tuple((max(lo, a), min(hi, b)) for (lo, hi), (a, b) in zip(r.bounds[:sp], g.extents[:sp]))
+                for r in fam.rectangles_containing(x)
+            }
+            windows.append(len(clipped))
 
         def run(budget):
             monkeypatch.setattr(heisenberg, "_BLOCK_BYTES", budget)
             blocks = heisenberg._box_blocks(f, w, fam, cols, SHIFT_STANDARD)
-            return maximal_field(f, w, fam).values, [bv.shape for _, _, bv, _ in blocks]
+            return maximal_field(f, w, fam).values, [(k, bv.shape) for k, _, bv, _ in blocks]
 
-        # one block of every box per column, then a few boxes per block
+        # one block of every group per column, then a few groups per block
         whole, shapes = run(1 << 40)
-        assert len(shapes) == len(cols) and all(s[1] == nbox for s in shapes)
+        assert sorted(k for k, _ in shapes) == list(range(len(cols)))
+        assert all(s[1] == windows[k] for k, s in shapes) and max(windows) < nbox
         tiny, shapes = run(1 << 10)
-        assert 1 < max(s[1] for s in shapes) < nbox
+        assert 1 < max(s[1] for _, s in shapes) < max(windows)
         np.testing.assert_array_equal(whole, tiny)
         np.testing.assert_array_equal(whole, maximal_field_reference(f, w, fam).values)
 
@@ -377,12 +388,13 @@ def test_fast_path_window_gather_clamps_at_both_ends():
 
 
 def test_weight_window_folds_give_the_boxes_weighted_volumes(monkeypatch):
-    """The weighted volumes wv that _box_blocks folds out of each anchor's
+    """The weighted volumes vol that _box_blocks folds out of each anchor's
     window of the weight prefix equal direct sums of omega over every box
-    of every anchor: on a dyadic family whose longest side (4) is below
-    its cap (5, the margin being 4), on per-factor side caps and on
-    multi-axis factors.  Integer-valued weights keep every sum exact; a
-    small budget splits each column into several blocks."""
+    of every anchor, each box is in exactly one group, and each group's
+    volume wv is the least of its boxes': on a dyadic family whose longest
+    side (4) is below its cap (5, the margin being 4), on per-factor side
+    caps and on multi-axis factors.  Integer-valued weights keep every sum
+    exact; a small budget splits each column into several blocks."""
     cases = [
         (GridSpec.cube(1, 5, mu=1), {"dyadic_only": True}),
         (GridSpec(n=1, extents=((-2, 2), (0, 3), (0, 2)), mu=-1), {"max_sides": (2, 3)}),
@@ -399,12 +411,19 @@ def test_weight_window_folds_give_the_boxes_weighted_volumes(monkeypatch):
         spatial = list(np.ndindex(*g.spatial_shape))
         f = _int_field(g, np.random.default_rng(9))
         seen = np.zeros((len(spatial), len(lo_off)), dtype=int)
-        for k, bs, _, wv in heisenberg._box_blocks(f, w, fam, np.arange(len(spatial)), SHIFT_STANDARD):
-            for j, got in enumerate(wv, start=bs):
-                lo = np.add(spatial[k], margins) + lo_off[j]
-                want = w_exp[tuple(slice(a, a + s) for a, s in zip(lo, side_ax[j]))].sum()
-                assert got == want, (g, spatial[k], j)
-                seen[k, j] += 1
+        for k, (gs, groups, vol), _, wv in heisenberg._box_blocks(f, w, fam, np.arange(len(spatial)), SHIFT_STANDARD):
+            counts = [len(starts) for _, starts in groups]
+            for q, got in enumerate(wv, start=gs):
+                members = [np.split(order, starts[1:])[p] for (order, starts), p in zip(groups, np.unravel_index(q, counts))]
+                sums = []
+                for opts in itertools.product(*members):
+                    j = np.ravel_multi_index(opts, vol.shape)
+                    lo = np.add(spatial[k], margins) + lo_off[j]
+                    want = w_exp[tuple(slice(a, a + s) for a, s in zip(lo, side_ax[j]))].sum()
+                    assert vol[opts] == want, (g, spatial[k], j)
+                    sums.append(want)
+                    seen[k, j] += 1
+                assert got == min(sums), (g, spatial[k], q)
         assert np.all(seen == 1)
 
 
@@ -753,7 +772,9 @@ def test_box_pruning_skips_boxes_and_stays_in_memory():
     f = _int_field(g, np.random.default_rng(3), -9, 10)
     w = make_constant_weight(g)
     want = maximal_field(f, w, fam).values
-    nb = next(heisenberg._box_blocks(f, w, fam, np.arange(1), SHIFT_STANDARD))[2].shape[1]
+    # the widest block, of the central anchors' groups
+    blocks = heisenberg._box_blocks(f, w, fam, np.arange(int(np.prod(g.spatial_shape))), SHIFT_STANDARD)
+    nb = max(bv.shape[1] for _, _, bv, _ in blocks)
     n_c = g.t_len + 2 * fam.t_len_choices()[-1]
 
     def peak():
@@ -828,6 +849,74 @@ def test_argmax_rectangle_matches_literal_walk_and_field():
         fast = maximal_field(f, w, fam, convention).values
         np.testing.assert_array_equal(fast, maximal_field_reference(f, w, fam, convention).values)
         assert val == fast[tuple(c - lo for c, lo in zip(x, f.grid.lows))]
+
+
+def _every_box_field(f, w, fam, convention):
+    """maximal_field's values with every box averaged at its own weighted
+    volume: each block's window sums handed to every member box of their
+    group, each divided by the box's vol, the maximum over every interval
+    through every t, then + 0.0 as in the fast path."""
+    g = f.grid
+    T, lens = g.t_len, fam.t_len_choices()
+    top = lens[-1]
+    out = np.zeros((int(np.prod(g.spatial_shape)), T))
+    for k, (gs, groups, vol), bv, _ in heisenberg._box_blocks(f, w, fam, np.arange(len(out)), convention):
+        labels = []
+        for order, starts in groups:
+            label = np.empty(len(order), dtype=np.intp)
+            for q, members in enumerate(np.split(order, starts[1:])):
+                label[members] = q
+            labels.append(label)
+        owner = np.ravel_multi_index(np.meshgrid(*labels, indexing="ij"), [len(s) for _, s in groups]).ravel() - gs
+        box = np.flatnonzero((owner >= 0) & (owner < bv.shape[1]))
+        sums, vols = bv[:, owner[box]], vol.reshape(-1)[box]
+        for Lt in lens:
+            lo = np.arange(top - Lt, top + T - 1)
+            best = ((sums[lo + Lt] - sums[lo]) / (vols * Lt)).max(axis=1)
+            for t in range(T):
+                out[k, t] = max(out[k, t], best[t : t + Lt].max())
+    return (out + 0.0).reshape(g.shape)
+
+
+def test_window_groups_change_no_bit():
+    """Boxes of an anchor that clip to one window of the extents are folded
+    once, at their least weighted volume.  On narrow extents (widths 2 to
+    4, so most boxes overhang one end or both), factors (2, 2), (1, 3) and
+    singletons, negative origins and |mu| = 3: with integer-hash weights
+    the fast path equals the reference bitwise and argmax_rectangle the
+    literal walk; with a real weight spanning about 1e-12 .. 1e3 it equals
+    every box averaged at its own volume, bit for bit, and
+    argmax_rectangle reads the field's value at x.  A group's boxes are
+    nested, so in exact arithmetic its first (smallest) box has the least
+    volume; the folds of that real weight cancel, and on the third grid
+    under the standard convention cells change if each group takes its
+    first box's volume instead of the least."""
+    G = GridSpec
+    cases = [
+        (G(n=2, extents=((-3, -1), (-2, -1), (-1, 1), (-4, -3), (-2, 1)), factors=(2, 2), mu=3), {}, 11),
+        (G(n=2, extents=((-2, -1), (-1, 1), (-3, -2), (0, 2), (-3, 0)), factors=(1, 3), mu=-3), {}, 11),
+        (G(n=2, extents=((-1, 1), (0, 2), (-2, -1), (1, 3), (2, 3)), mu=3), {}, 476),
+        (G(n=1, extents=((-4, -2), (-2, 1), (-3, 1)), factors=(2,), mu=-3), {}, 11),
+        (G(n=1, extents=((-3, 0), (-5, -3), (-2, 3)), mu=3), {"max_sides": (4, 2), "max_t_len": 4}, 11),
+    ]
+    rng = np.random.default_rng(1515)
+    for g, family_kw, seed in cases:
+        fam = RectangleFamily(g, **family_kw)
+        f = _int_field(g, rng, -4, 6)
+        real = ScalarField(g, np.exp(rng.uniform(-7, 7, size=g.shape)))
+        x = tuple(int(rng.integers(lo, hi + 1)) for lo, hi in g.extents)
+        at = tuple(c - lo for c, lo in zip(x, g.lows))
+        wide = WeightField(g, lambda c: 10.0 ** (7.5 * (hash_uniform(seed, c) + 1.0) - 12.0), f"wide:{seed}")
+        for convention in (SHIFT_STANDARD, SHIFT_SWAPPED):
+            w = _int_hash_weight(g)
+            fast = maximal_field(f, w, fam, convention).values
+            np.testing.assert_array_equal(fast, maximal_field_reference(f, w, fam, convention).values)
+            assert argmax_rectangle(f, w, x, fam, convention) == _argmax_walk(f, w, x, fam, convention)
+            for data in (f, real):
+                fast = maximal_field(data, wide, fam, convention).values
+                want = _every_box_field(data, wide, fam, convention)
+                np.testing.assert_array_equal(fast.view(np.int64), want.view(np.int64))
+                assert argmax_rectangle(data, wide, x, fam, convention)[1] == fast[at]
 
 
 # ---------------------------------------------------------------------------
