@@ -265,9 +265,10 @@ def _corner_rows(tabs: list[np.ndarray], at) -> np.ndarray:
 @lru_cache(maxsize=64)
 def _clip_groups(family: RectangleFamily):
     """The options of each spatial factor grouped by the window of the
-    extents they clip to, per anchor position on the factor's axes.
+    extents they clip to, per anchor position on the factor's axes, and
+    the factor's boxes grouped by the same windows.
 
-    Returns per factor i (tabs, groups, counts): tabs are the
+    Returns per factor i (tabs, groups, counts, ids, boxes): tabs are the
     _corner_tables of the extents' zero-bordered summed-area table (dims
     spatial_shape + 1), which _box_blocks folds on every call; groups
     lists per anchor position on i's axes, flat in C order,
@@ -275,29 +276,42 @@ def _clip_groups(family: RectangleFamily):
     _factor_options(family, i) by their clipped corner columns, stably,
     and starts (g,) the first entries of its g runs of equal columns;
     counts (positions,) holds each g.  The options of one group sum one
-    window of the extents: their columns are equal."""
+    window of the extents: their columns are equal.
+
+    boxes = (lo, side, first) lists the U_i boxes of the factor that hold
+    an anchor inside the extents, lo (U_i, N_i) their low corners less the
+    extents' low corner and side (U_i,), sorted stably by the window they
+    clip to; first (G_i,) holds the first box of each of the G_i windows.
+    A box holds an anchor inside the extents iff its window does, so a
+    group's members are every box of its window, whatever the anchor:
+    ids lists per anchor position the window (G_i,) of each group."""
     grid = family.grid
     shape = grid.spatial_shape
     out = []
     for i, tabs in enumerate(_corner_tables(family, np.add(shape, 1), [np.arange(w) for w in shape])):
-        groups = []
-        for at in np.ndindex(*(shape[a] for a in grid.factor_axes(i))):
+        w = np.asarray([shape[a] for a in grid.factor_axes(i)])
+        sides = family.side_choices(i)
+        lo = np.concatenate([np.indices(w + s - 1).reshape(len(w), -1).T - (s - 1) for s in sides])
+        side = np.repeat(sides, [np.prod(w + s - 1) for s in sides])
+        # a window's key joins its clipped all-high and all-low corners, the
+        # first and last rows of _corner_rows
+        span = int(np.prod(w + 1))
+        hi, low = np.minimum(lo + side[:, None], w), np.maximum(lo, 0)
+        key = np.ravel_multi_index(hi.T, w + 1) * span + np.ravel_multi_index(low.T, w + 1)
+        by_window = np.argsort(key, kind="stable")
+        lo, side, key = lo[by_window], side[by_window], key[by_window]
+        first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+        groups, ids = [], []
+        for at in np.ndindex(*w):
             flat = _corner_rows(tabs, at)
             order = np.lexsort(flat[::-1])
             srt = flat[:, order]
             starts = np.flatnonzero(np.r_[True, np.any(srt[:, 1:] != srt[:, :-1], axis=0)])
             groups.append((order, starts))
-        out.append((tabs, groups, np.asarray([len(starts) for _, starts in groups])))
+            ids.append(np.searchsorted(key[first], srt[0, starts] * span + srt[-1, starts]))
+        counts = np.asarray([len(starts) for _, starts in groups])
+        out.append((tabs, groups, counts, ids, (lo, side, first)))
     return tuple(out)
-
-
-def _group_volumes(vol: np.ndarray, groups, reduce) -> np.ndarray:
-    """Reduce the weighted volumes vol (n_o_0, .., n_o_m) of a column's
-    boxes over each factor's groups ((order, starts) per factor) with the
-    ufunc reduce: shape (g_0, .., g_m)."""
-    for i, (order, starts) in enumerate(groups):
-        vol = reduce.reduceat(np.take(vol, order, axis=i), starts, axis=i)
-    return vol
 
 
 def _fold(table, axis, flat, out, slab):
@@ -312,6 +326,111 @@ def _fold(table, axis, flat, out, slab):
         np.take(table, flat[c], axis=axis, out=slab, mode="clip")
         (np.subtract if bin(c).count("1") % 2 else np.add)(out, slab, out=out)
     return out
+
+
+def _weight_prefix(omega: WeightField, family: RectangleFamily) -> tuple[np.ndarray, np.ndarray]:
+    """omega on the extents widened by the family's margins, w_exp, and its
+    zero-bordered prefix pw over every spatial axis.  RangeError unless
+    pw's total T stays finite times the bounds of _box_blocks."""
+    grid = family.grid
+    with np.errstate(over="ignore"):
+        w_exp = omega.expanded_spatial(family.margins())
+        pw = prefix_sums(w_exp, range(2 * grid.n))
+    half = (max(grid.factors) + 1) // 2
+    if not math.isfinite(float(pw[(-1,) * pw.ndim]) * max(family.t_len_choices()[-1], half) * (1 + 2.0**-20)):
+        raise RangeError("the weighted volumes of the family's boxes overflow float64")
+    return w_exp, pw
+
+
+def _box_volumes(w_exp: np.ndarray, pw: np.ndarray, grid: GridSpec, boxes: list) -> np.ndarray:
+    """Weighted volumes, shape (n_0, .., n_m), of the boxes that take per
+    spatial factor i of grid one of boxes[i] = (lo, side), lo
+    (n_i, N_i) their low corners in w_exp and side (n_i,), in C order.
+
+    Each volume is the alternating sum of pw (_weight_prefix) at the box's
+    corners, folded one factor at a time, last first, through the corners
+    in _factor_options order (_fold): a box's float depends on the box
+    alone, not on the boxes folded with it.  The fold of the first factor
+    reads only the rows of pw at its boxes' corners.
+
+    Certified: every fold input lies in [0, M], M the box's all-high
+    corner entry (pw grows along every axis, rounding being monotone),
+    and is off by at most D * eps/2 of itself, D = sum(w_exp.shape)
+    bounding its additions; the folds add 2^sp such inputs in at most
+    2^sp - 1 steps, so the volume is off by at most
+    B = 2^sp * (D + 2^sp) * eps * M.  Wide-range weights cancel there: a
+    volume that does not clear 2^20 * B, so that it might be off by more
+    than one part in about a million, is summed directly from w_exp, as
+    maximal_field_reference sums it.  Exact weights keep every bit, the
+    direct sum being exact too."""
+    axs = [list(grid.factor_axes(i)) for i in range(len(grid.factors))]
+    dims = np.asarray(pw.shape)
+    table = pw.reshape([int(np.prod(dims[ax])) for ax in axs])
+    flats = []
+    for ax, (lo, side) in zip(axs, boxes):
+        high = np.asarray(list(itertools.product((1, 0), repeat=len(ax))))
+        at = lo + high[:, None, :] * side[:, None]
+        flats.append(np.ravel_multi_index(np.moveaxis(at, -1, 0), dims[ax]))
+    rows, at_row = np.unique(flats[0], return_inverse=True)
+    vol = np.take(table, rows, axis=0)
+    for i in reversed(range(len(axs))):
+        flat = at_row.reshape(flats[0].shape) if i == 0 else flats[i]
+        shape = (*vol.shape[:i], flat.shape[1], *vol.shape[i + 1 :])
+        vol = _fold(vol, i, flat, np.empty(shape), np.empty(shape))
+    bound = table[np.ix_(*(flat[0] for flat in flats))]
+    bound *= 2.0**20 * 2**pw.ndim * (sum(w_exp.shape) + 2**pw.ndim) * np.finfo(np.float64).eps
+    for box in zip(*np.nonzero(vol <= bound)):
+        cells = [slice(a, a + side[j]) for (lo, side), j in zip(boxes, box) for a in lo[j]]
+        vol[box] = w_exp[tuple(cells)].sum()
+    return vol
+
+
+def _column_volumes(family: RectangleFamily, w_exp: np.ndarray, pw: np.ndarray, base) -> np.ndarray:
+    """Every box's own weighted volume at the anchor base (its offset from
+    the extents' low corner), shape (n_o_0, .., n_o_m) over the options
+    of _factor_options, so flat in _box_tables order: the floats that
+    _least_volumes takes the least of (_box_volumes)."""
+    at = np.add(base, family.margins())
+    boxes = []
+    for i in range(len(family.grid.factors)):
+        off, side, _ = _factor_options(family, i)
+        boxes.append((at[list(family.grid.factor_axes(i))] + off, side))
+    return _box_volumes(w_exp, pw, family.grid, boxes)
+
+
+def _least_volumes(family: RectangleFamily, w_exp: np.ndarray, pw: np.ndarray) -> np.ndarray:
+    """The least weighted volume of every window group, W (G_0, .., G_m):
+    W[q_0, .., q_m] is the least _box_volumes over the boxes that take
+    per factor i one box of its window q_i (_clip_groups), so a column's
+    groups read theirs with one gather.  Every box is folded once, in
+    runs of the first factor's windows whose folds take about
+    _BLOCK_BYTES (one window at least): per box of that factor, its
+    2^N_0 corner rows of pw, its fold result and its corner slab, each
+    holding, per other factor, that factor's boxes or its pw entries,
+    whichever are more, 8 bytes apiece.  The table of every box is never
+    held.  InvariantViolation unless every least volume is positive."""
+    grid = family.grid
+    axs = [list(grid.factor_axes(i)) for i in range(len(grid.factors))]
+    margins = np.asarray(family.margins())
+    boxes = [(lo + margins[ax], side, first) for ax, (*_, (lo, side, first)) in zip(axs, _clip_groups(family))]
+    W = np.empty([len(first) for _, _, first in boxes])
+    dims = np.asarray(pw.shape)
+    wide = math.prod(max(len(side), int(np.prod(dims[ax]))) for ax, (_, side, _) in zip(axs[1:], boxes[1:]))
+    per_run = max(1, _BLOCK_BYTES // (8 * (2 ** len(axs[0]) + 2) * wide))
+    lo, side, first = boxes[0]
+    ends = np.r_[first[1:], len(side)]
+    a = 0
+    while a < len(first):
+        b = max(a + 1, int(np.searchsorted(ends, first[a] + per_run, side="right")))
+        run = slice(first[a], ends[b - 1])
+        vol = _box_volumes(w_exp, pw, grid, [(lo[run], side[run])] + [box[:2] for box in boxes[1:]])
+        for i, (_, _, starts) in enumerate(boxes[1:], start=1):
+            vol = np.minimum.reduceat(vol, starts, axis=i)
+        W[a:b] = np.minimum.reduceat(vol, first[a:b] - first[a], axis=0)
+        a = b
+    if not np.all(W > 0):
+        raise InvariantViolation("weighted volume must be positive on every box")
+    return W
 
 
 def _box_blocks(
@@ -331,12 +450,17 @@ def _box_blocks(
     order, so the boxes of one group, the product of one group per
     factor, have bitwise equal sums at every cut.  A column folds one box
     per group and gives it the least weighted volume of its members, the
-    computed minimum of their folded volumes: a group's boxes are nested,
-    one per side, but under real weights the folds' rounding can order
-    their volumes either way.  No maximum changes:
-    with num >= 0 an average num / (wv * L) cannot grow with wv, rounding
-    being monotone, and a negative num never raises a value that starts
-    at 0.
+    computed minimum of their volumes (_box_volumes): a group's boxes are
+    nested, one per side, but under real weights the folds' rounding can
+    order their volumes either way.  No maximum changes: with num >= 0 an
+    average num / (wv * L) cannot grow with wv, rounding being monotone,
+    and a negative num never raises a value that starts at 0.
+
+    The weighted volumes do not depend on f or on the anchor: a group's
+    members are every box of its window, and a box's volume is a function
+    of the box.  So the set-up builds, once per call, the table W of every
+    window group's least volume (_least_volumes), and a column reads its
+    groups' with one gather, W at the product of their windows.
 
     Every cell's sheared samples of anchor cols[k] lie on a common axis of
     n_c = t_len + 2 * top cuts from c_lo = t_lo - top + 1, top being the
@@ -346,71 +470,69 @@ def _box_blocks(
     clipped shear, the anchor's combination of a per-call table of unit
     anchors' shears.  prefix_sums sums their spatial prefix p into the
     interior of a zero-bordered buffer.  _fold sums the groups' windows
-    out of p, and every box out of the anchor's window of the weight
-    prefix pw, one factor at a time, last first, and p's first factor one
-    run of its groups per block; np.minimum.reduceat then takes each
-    group's least volume, one factor axis at a time.  Yields
-    (k, at, bv, wv) per block of groups: at = (gs, groups, vol) holds the
-    block's first group gs in C order over the column's group counts
-    (g_0, .., g_m), the column's groups (order, starts) per factor and
-    vol (n_o_0, .., n_o_m), every box's own weighted volume in _box_tables
-    order; bv (n_c, nb) is stored cuts-major, bv[c, j] being the sum of
-    omega * |f| over group gs + j's window at sheared t < c_lo + c, and wv
-    (nb,) holds the groups' least volumes.  bv and vol view per-call
-    buffers that the next block refills.  A block is a run of the first
-    factor's groups that _BLOCK_BYTES sizes from the column's counts;
-    columns run widest block first, corner anchors having the fewest
-    groups.
+    out of p, one factor at a time, last first, and p's first factor one
+    run of its groups per block.  Yields (k, at, bv, wv) per block of
+    groups: at = (gs, groups) holds the block's first group gs in C order
+    over the column's group counts (g_0, .., g_m) and the column's groups
+    (order, starts) per factor; bv (n_c, nb) is stored cuts-major,
+    bv[c, j] being the sum of omega * |f| over group gs + j's window at
+    sheared t < c_lo + c, and wv (nb,) holds the groups' least volumes.
+    bv views a per-call buffer that the next block refills.  A block is a
+    run of the first factor's groups that _BLOCK_BYTES sizes from the
+    column's counts; columns run widest block first, corner anchors
+    having the fewest groups.
 
-    The working set is allocated once per call: the padded weighted rows,
-    n_sp * (t_len + 1 + 2 * n_c); pw over the extents widened by the
-    margins; p, prod(w_a + 1) * n_c; the weight window, prod(2 * s_a)
-    with s_a the longest side on axis a, whose corner indices are the same
-    for every anchor; the shear table, 2n * n_sp; per factor a fold
-    result and a corner slab for p, sized by the widest column, and for
-    the weight window; and the cuts-major block.  Cached per family
-    (_clip_groups): p's corner tables, sum_i sum_(a in factor i)
-    w_a * 2^N_i * n_o_i * 8 bytes, w_a being the extents' width on axis a,
-    N_i factor i's axis count and n_o_i its box options, and the group
-    tables, n_o_i + g per anchor position on factor i's axes.  A column
-    allocates its shear and window starts (n_sp,), its copy of the
+    The working set is allocated once per call, in this order: the padded
+    weighted rows, n_sp * (t_len + 1 + 2 * n_c); omega over the extents
+    widened by the margins and its prefix pw, each prod(w_a + 2 * m_a)
+    entries or one more per axis, m_a the margin on axis a; W,
+    prod_i G_i floats for G_i windows of factor i, built in runs of the
+    first factor's windows whose folds take about _BLOCK_BYTES each and
+    are freed before the rest is allocated; p, prod(w_a + 1) * n_c; the
+    shear table, 2n * n_sp; per factor a fold result and a corner slab
+    for p, sized by the widest column; and the cuts-major block.  Cached
+    per family (_clip_groups): p's corner tables,
+    sum_i sum_(a in factor i) w_a * 2^N_i * n_o_i * 8 bytes, w_a being
+    the extents' width on axis a, N_i factor i's axis count and n_o_i its
+    box options; the group tables, n_o_i + 2 * g per anchor position on
+    factor i's axes; and the boxes by window, U_i * (N_i + 1) + G_i.  A
+    column allocates its shear and window starts (n_sp,), its copy of the
     windows, n_sp * n_c, its groups' corner columns, their least volumes
     and, for a factor of several axes, the sum of p's corner rows.
 
     Range: the set-up raises RangeError unless S = sum(omega * |f|) and
-    the weight prefix's total W stay finite times the bounds below, so
+    the weight prefix's total T stay finite times the bounds below, so
     every box sum, weighted volume and numerator of both stages is a
     finite float (a quotient may still be +inf).  Prefix entries and box
-    sums lie in [0, S] (of omega: [0, W]) up to rounding, and so does a
+    sums lie in [0, S] (of omega: [0, T]) up to rounding, and so does a
     numerator's magnitude; a fold's partial sum over its first j corners
     is an alternating sum of popcount(j) <= N box sums over fewer axes, so
     it stays within ceil(N / 2) * S for a factor of N axes; and
-    wv * L <= W * top.
+    wv * L <= T * top.  A weighted volume is certified against its
+    folds' rounding bound and, where it might have cancelled, summed
+    directly (_box_volumes), so wide-range weights give positive volumes;
+    InvariantViolation is left for a least volume that is not positive.
     """
     grid = f.grid
     sp, L = 2 * grid.n, grid.t_len
     top = family.t_len_choices()[-1]
     n_c = L + 2 * top
-    margins = family.margins()
 
     axes = [np.arange(lo, hi + 1, dtype=np.int64) for lo, hi in grid.extents[:sp]]
     coords_sp = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, sp)
     n_sp = coords_sp.shape[0]
     # the t-prefix of omega * |f| per spatial cell, between n_c zeros and
-    # n_c copies of its total; the weight prefix over the extended window
+    # n_c copies of its total
     rows = np.zeros((n_sp, L + 1 + 2 * n_c))
     cf = rows[:, n_c : n_c + L + 1]
     with np.errstate(over="ignore"):
         prefix_sums(np.abs(f.values).reshape(n_sp, L), [1], out=cf)
         cf *= omega.values.reshape(-1, 1)
-        pw = prefix_sums(omega.expanded_spatial(margins), range(sp))
         S = float(cf[:, -1].sum())
     # the bounds of the docstring, with 2^-20 to spare for rounding
-    half, spare = (max(grid.factors) + 1) // 2, 1 + 2.0**-20
-    if not math.isfinite(S * half * spare):
+    if not math.isfinite(S * ((max(grid.factors) + 1) // 2) * (1 + 2.0**-20)):
         raise RangeError(f"omega * |f| sums to {S!r}: its box sums overflow float64")
-    if not math.isfinite(float(pw[(-1,) * sp]) * max(top, half) * spare):
-        raise RangeError("the weighted volumes of the family's boxes overflow float64")
+    W = _least_volumes(family, *_weight_prefix(omega, family))
     rows[:, n_c + L + 1 :] = cf[:, -1:]
     # cut j, at t = c_lo + j, of cell r reads the t-prefix at
     # clip(c_lo + j + shear_r - t_lo, 0, L), entry n_c + that of its padded
@@ -420,34 +542,25 @@ def _box_blocks(
     cells = np.arange(n_sp)
     shears = _shear(grid.mu, np.eye(sp, dtype=np.int64), coords_sp, convention)
     lows = np.asarray(grid.lows[:sp], dtype=np.int64)
-    # every box corner of the anchor at b lies in pw's window of 2 * s
-    # entries from b + margins - s + 1 per axis, s the longest side there,
-    # at offsets that are the same for every anchor
-    longest = np.asarray([family.side_choices(i)[-1] for i in grid.factor_of_axis])
-    p_dims, w_dims = np.add(grid.spatial_shape, 1), 2 * longest
-    w_lo = np.subtract(margins, longest - 1)
+    p_dims = np.add(grid.spatial_shape, 1)
     axs = [list(grid.factor_axes(i)) for i in range(len(grid.factors))]
     clip = _clip_groups(family)
-    w_flat = [_corner_rows(tabs, [0] * len(tabs)) for tabs in _corner_tables(family, w_dims, longest[:, None] - 1)]
-    n_o = [tabs[0].shape[2] for tabs, _, _ in clip]
     # each column's position on each factor's axes and group counts g, its
     # block run of first-factor groups and block width
     idx = np.unravel_index(cols, grid.spatial_shape)
     at = [np.ravel_multi_index([idx[a] for a in ax], [grid.spatial_shape[a] for a in ax]) for ax in axs]
-    g = np.stack([counts[pos] for (_, _, counts), pos in zip(clip, at)])
+    g = np.stack([counts[pos] for (_, _, counts, _, _), pos in zip(clip, at)])
     inner = np.prod(g[1:], axis=0)
     runs = np.minimum(g[0], np.maximum(1, _BLOCK_BYTES // (2 * n_c * 8 * inner)))
     p_merged = [int(np.prod(p_dims[ax])) for ax in axs] + [n_c]
-    w_merged = [int(np.prod(w_dims[ax])) for ax in axs]
     p_pad = np.zeros((*p_dims, n_c))
-    p, w_win = p_pad.reshape(p_merged), np.empty(w_dims)
+    p = p_pad.reshape(p_merged)
     # per factor a fold result and a corner slab of p, flat and sized for
-    # the most groups of factors i.. in a column (tails[i]) and of the
-    # weight window; one cuts-major block
+    # the most groups of factors i.. in a column (tails[i]); one
+    # cuts-major block
     tails = np.cumprod(g[::-1], axis=0)[::-1].max(axis=1)
     p_bufs = [np.empty(2 * math.prod(p_merged[:i]) * int(tails[i]) * n_c) for i in range(1, len(axs))]
     p_bufs.insert(0, np.empty(2 * int((runs * inner).max()) * n_c))
-    w_bufs = [np.empty((2, *w_merged[:i], *n_o[i:])) for i in range(len(axs))]
     cm = np.empty(p_bufs[0].size // 2)
 
     def bufs(i, shape):
@@ -461,20 +574,15 @@ def _box_blocks(
         np.minimum(np.maximum(start, 0, out=start), L + 1 + n_c, out=start)
         prefix_sums(windows[cells, start].reshape(*grid.spatial_shape, n_c), range(sp), out=p_pad)
         base = anchor - lows
-        np.copyto(w_win, pw[tuple(slice(b, b + d) for b, d in zip(base + w_lo, w_dims))])
-        # per factor the anchor's groups and their first options' corners
-        groups = [by_pos[where[k]] for (_, by_pos, _), where in zip(clip, at)]
+        # per factor the anchor's groups, their first options' corners and
+        # their windows
+        groups = [by_pos[where[k]] for (_, by_pos, _, _, _), where in zip(clip, at)]
         firsts = [_corner_rows(c[0], base[ax])[:, order[starts]] for c, ax, (order, starts) in zip(clip, axs, groups)]
+        wv = W[np.ix_(*(ids[where[k]] for (*_, ids, _), where in zip(clip, at)))].reshape(-1)
         gk = g[:, k].tolist()
-        sums, vol = p, w_win.reshape(w_merged)
-        for i in reversed(range(len(axs))):
-            vol = _fold(vol, i, w_flat[i], *w_bufs[i])
-            if i:
-                sums = _fold(sums, i, firsts[i], *bufs(i, (*p_merged[:i], *gk[i:], n_c)))
-        wv = _group_volumes(vol, groups, np.minimum)
-        if not np.all(wv > 0):
-            raise InvariantViolation("weighted volume must be positive on every box")
-        wv = wv.reshape(-1)
+        sums = p
+        for i in reversed(range(1, len(axs))):
+            sums = _fold(sums, i, firsts[i], *bufs(i, (*p_merged[:i], *gk[i:], n_c)))
         run, width = int(runs[k]), int(inner[k])
         for o in range(0, gk[0], run):
             pos = firsts[0][:, o : o + run]
@@ -482,7 +590,7 @@ def _box_blocks(
             bv = cm[: box_sums.size].reshape(n_c, -1)
             np.copyto(bv, box_sums.reshape(-1, n_c).T)
             gs = o * width
-            yield k, (gs, groups, vol), bv, wv[gs : gs + bv.shape[1]]
+            yield k, (gs, groups), bv, wv[gs : gs + bv.shape[1]]
 
 
 # the unit-slice bound's rounding margin, and the least normal float,
@@ -910,17 +1018,21 @@ def argmax_rectangle(
     lo_off, side_ax, _ = _box_tables(family)
     cut = family.t_len_choices()[-1] + t - grid.t_lo
     top, ties, owner = -np.inf, [], None
-    for _, (gs, groups, vol), bv, wv in _box_blocks(f, omega, family, np.asarray([col]), convention):
+    for _, (gs, groups), bv, wv in _box_blocks(f, omega, family, np.asarray([col]), convention):
         if owner is None:
             # every box's group, C order over the column's group counts,
-            # and the groups' greatest volumes
+            # every box's own volume and the groups' greatest volumes
             labels = []
             for order, starts in groups:
                 label = np.empty_like(order)
                 label[order] = np.repeat(np.arange(len(starts)), np.diff(starts, append=len(order)))
                 labels.append(label)
             owner = np.ravel_multi_index(np.meshgrid(*labels, indexing="ij"), [len(s) for _, s in groups]).reshape(-1)
-            most = _group_volumes(vol, groups, np.maximum).reshape(-1)
+            most = _column_volumes(family, *_weight_prefix(omega, family), np.subtract(coords[:sp], grid.lows[:sp]))
+            own = most.reshape(-1)
+            for i, (order, starts) in enumerate(groups):
+                most = np.maximum.reduceat(np.take(most, order, axis=i), starts, axis=i)
+            most = most.reshape(-1)
         for Lt in family.t_len_choices():
             # the Lt intervals through t start at t - Lt + 1 .. t
             span = slice(cut - Lt, cut), slice(cut, cut + Lt), Lt
@@ -930,7 +1042,7 @@ def argmax_rectangle(
                 top, ties = best, []
             if best == top:
                 box = np.flatnonzero(np.isin(owner, gs + np.nonzero(vals == top)[1]))
-                j, m = np.nonzero(_averages(bv[:, owner[box] - gs], vol.reshape(-1)[box], *span) == top)
+                j, m = np.nonzero(_averages(bv[:, owner[box] - gs], own[box], *span) == top)
                 ties.append((np.full(j.shape, Lt), t - Lt + 1 + j, box[m]))
     t_len, t_lo, box = (np.concatenate(k) for k in zip(*ties))
     base = np.asarray(coords[:sp]) + lo_off[box]

@@ -53,6 +53,10 @@ class InvariantViolation(RuntimeError):
 # for one clipped data window of the column (the corner slab is as large
 # again); a block is a run of the first factor's window groups, one at
 # least, so a column with fewer groups takes fewer blocks.
+# heisenberg._least_volumes sizes its runs of the first factor's windows
+# by it: per box of that factor, its corner rows of the weight prefix, its
+# fold result and its corner slab, each as wide as the other factors' box
+# volumes, one window at least.
 # weights._subset_sums sizes its rows of subset permutations by it: an
 # index row and its gathered, summed weights, 2 * V * 8 per row for a
 # rectangle of V cells, one row at least.  From bench/run.py runs on all

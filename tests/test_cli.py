@@ -222,6 +222,16 @@ def test_argmax_rectangle_value_is_max_value(tmp_path, argv):
     assert summary["argmax_rectangle_value"] == summary["max_value"]
 
 
+@pytest.mark.parametrize("argv", [["--size", "11", "--weight", "power:8,8"], ["--size", "6", "--weight", "power:10,10"]])
+def test_wide_range_weights_run(tmp_path, argv):
+    # the weight prefix's inclusion-exclusion cancels to volumes <= 0 on
+    # small boxes under these weights, which exited 3; the kernel sums
+    # such boxes directly
+    assert main(["maximal", *argv, "--argmax-rect", "--out", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["argmax_rectangle_value"] == summary["max_value"]
+
+
 def test_maximal_generator_matches_library(tmp_path):
     out = tmp_path / "gen"
     code = main([

@@ -13,7 +13,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from strongmax import (
@@ -388,13 +388,15 @@ def test_fast_path_window_gather_clamps_at_both_ends():
 
 
 def test_weight_window_folds_give_the_boxes_weighted_volumes(monkeypatch):
-    """The weighted volumes vol that _box_blocks folds out of each anchor's
-    window of the weight prefix equal direct sums of omega over every box
-    of every anchor, each box is in exactly one group, and each group's
-    volume wv is the least of its boxes': on a dyadic family whose longest
-    side (4) is below its cap (5, the margin being 4), on per-factor side
-    caps and on multi-axis factors.  Integer-valued weights keep every sum
-    exact; a small budget splits each column into several blocks."""
+    """Every box's own weighted volume at every anchor, folded out of the
+    weight prefix as the least-volume table folds it (_column_volumes),
+    equals the direct sum of omega over the box, each box is in exactly
+    one group, and each group's volume wv, which _box_blocks reads from
+    the table, is the least of its boxes': on a dyadic family whose
+    longest side (4) is below its cap (5, the margin being 4), on
+    per-factor side caps and on multi-axis factors.  Integer-valued
+    weights keep every sum exact; a small budget splits each column into
+    several blocks and the table's build into several runs."""
     cases = [
         (GridSpec.cube(1, 5, mu=1), {"dyadic_only": True}),
         (GridSpec(n=1, extents=((-2, 2), (0, 3), (0, 2)), mu=-1), {"max_sides": (2, 3)}),
@@ -407,11 +409,13 @@ def test_weight_window_folds_give_the_boxes_weighted_volumes(monkeypatch):
         margins = fam.margins()
         w = _int_hash_weight(g)
         w_exp = w.expanded_spatial(margins)
+        prefix = heisenberg._weight_prefix(w, fam)
         lo_off, side_ax, _ = heisenberg._box_tables(fam)
         spatial = list(np.ndindex(*g.spatial_shape))
         f = _int_field(g, np.random.default_rng(9))
         seen = np.zeros((len(spatial), len(lo_off)), dtype=int)
-        for k, (gs, groups, vol), _, wv in heisenberg._box_blocks(f, w, fam, np.arange(len(spatial)), SHIFT_STANDARD):
+        for k, (gs, groups), _, wv in heisenberg._box_blocks(f, w, fam, np.arange(len(spatial)), SHIFT_STANDARD):
+            vol = heisenberg._column_volumes(fam, *prefix, spatial[k])
             counts = [len(starts) for _, starts in groups]
             for q, got in enumerate(wv, start=gs):
                 members = [np.split(order, starts[1:])[p] for (order, starts), p in zip(groups, np.unravel_index(q, counts))]
@@ -854,13 +858,16 @@ def test_argmax_rectangle_matches_literal_walk_and_field():
 def _every_box_field(f, w, fam, convention):
     """maximal_field's values with every box averaged at its own weighted
     volume: each block's window sums handed to every member box of their
-    group, each divided by the box's vol, the maximum over every interval
-    through every t, then + 0.0 as in the fast path."""
+    group, each divided by the box's volume as the least-volume table
+    folds it (_column_volumes), the maximum over every interval through
+    every t, then + 0.0 as in the fast path."""
     g = f.grid
     T, lens = g.t_len, fam.t_len_choices()
     top = lens[-1]
     out = np.zeros((int(np.prod(g.spatial_shape)), T))
-    for k, (gs, groups, vol), bv, _ in heisenberg._box_blocks(f, w, fam, np.arange(len(out)), convention):
+    prefix = heisenberg._weight_prefix(w, fam)
+    for k, (gs, groups), bv, _ in heisenberg._box_blocks(f, w, fam, np.arange(len(out)), convention):
+        vol = heisenberg._column_volumes(fam, *prefix, np.unravel_index(k, g.spatial_shape))
         labels = []
         for order, starts in groups:
             label = np.empty(len(order), dtype=np.intp)
@@ -917,6 +924,143 @@ def test_window_groups_change_no_bit():
                 want = _every_box_field(data, wide, fam, convention)
                 np.testing.assert_array_equal(fast.view(np.int64), want.view(np.int64))
                 assert argmax_rectangle(data, wide, x, fam, convention)[1] == fast[at]
+
+
+def _wide_weight(g, seed):
+    # positive weights spanning about 1e-12 .. 1e3
+    return WeightField(g, lambda c: 10.0 ** (7.5 * (hash_uniform(seed, c) + 1.0) - 12.0), f"wide:{seed}")
+
+
+def _envelope(f, w, fam):
+    """The error bound of test_fast_path_error_stays_inside_prefix_envelope:
+    R units of eps * S / min(omega)."""
+    g = f.grid
+    S = float((w.values[..., None] * np.abs(f.values)).sum())
+    R = 2 ** (2 * g.n + 1) * (g.t_len + 1 + sum(g.spatial_shape) + 4**g.n) + 1
+    return R * np.finfo(np.float64).eps * S / w.expanded_spatial(fam.margins()).min()
+
+
+def test_wide_range_weights_match_the_reference():
+    """Weights of wide range: 1e-12 .. 1e3 on a full family over narrow
+    n = 2 extents with constant data, and power:10,10 on the field that
+    `maximal --size 6` generates.  On both, the inclusion-exclusion of the
+    weight prefix cancels to a volume <= 0 on some box, which raised
+    InvariantViolation.  Such volumes are summed directly: every least
+    volume of the table is within 2^-19 of its group's least direct sum,
+    the field stays inside the prefix envelope of the reference, and
+    argmax_rectangle reads the field's maximum."""
+    pinned = GridSpec(n=2, extents=((-4, -2), (-4, -2), (-3, -1), (-4, -3), (-3, -1)), mu=0)
+    size6 = GridSpec.cube(1, 6, mu=1)
+    cases = [
+        (ScalarField.constant(pinned, 1.0), _wide_weight(pinned, 164)),
+        (GENERATORS["point"](size6, np.random.default_rng([0, 0x3FA])), parse_weight(size6, "power:10,10")),
+    ]
+    for f, w in cases:
+        g = f.grid
+        sp = 2 * g.n
+        fam = RectangleFamily(g)
+        w_exp, pw = heisenberg._weight_prefix(w, fam)
+        # every box's direct sum, and its plain inclusion-exclusion over pw
+        boxes = [clip[4] for clip in heisenberg._clip_groups(fam)]
+        direct = np.empty([len(side) for _, side, _ in boxes])
+        plain = np.empty(direct.shape)
+        for pick in np.ndindex(*direct.shape):
+            lo = np.concatenate([box[0][j] for box, j in zip(boxes, pick)]) + fam.margins()
+            side = np.asarray([boxes[i][1][pick[i]] for i in g.factor_of_axis])
+            direct[pick] = w_exp[tuple(slice(a, a + s) for a, s in zip(lo, side))].sum()
+            plain[pick] = sum(
+                (-1) ** (sp - sum(high)) * pw[tuple(lo + np.multiply(high, side))]
+                for high in itertools.product((0, 1), repeat=sp)
+            )
+        assert plain.min() <= 0
+        for i, (_, _, first) in enumerate(boxes):
+            direct = np.minimum.reduceat(direct, first, axis=i)
+        W = heisenberg._least_volumes(fam, w_exp, pw)
+        assert np.all(np.abs(W - direct) <= 2.0**-19 * direct), g
+        fast = maximal_field(f, w, fam).values
+        ref = maximal_field_reference(f, w, fam).values
+        assert np.abs(fast - ref).max() <= _envelope(f, w, fam)
+        x = tuple(int(c) + lo for c, lo in zip(np.unravel_index(np.argmax(fast), fast.shape), g.lows))
+        assert argmax_rectangle(f, w, x, fam)[1] == fast.max()
+
+
+def test_least_volume_table_is_built_in_budgeted_runs(monkeypatch):
+    """n = 2, full family, size 4: its table of every box's volume would
+    hold 22^4 floats (1.9 MB).  With _BLOCK_BYTES at 512 KiB the
+    least-volume table is built one first-factor window at a time, and
+    its allocations peak within 3 budgets above the table's own bytes
+    (an unbudgeted build peaks near 4.8 MB); the table and the field are
+    bitwise those of the default budget, under a real weight whose
+    volumes round."""
+    g = GridSpec.cube(2, 4, mu=1)
+    fam = RectangleFamily(g)
+    w = make_perturbed_weight(g, make_power_weight(g, (1.0,) * 4), amplitude=0.5, seed=4)
+    f = _int_field(g, np.random.default_rng(12), -9, 10)
+    prefix = heisenberg._weight_prefix(w, fam)
+    want, field = heisenberg._least_volumes(fam, *prefix), maximal_field(f, w, fam).values
+    budget = 1 << 19
+    monkeypatch.setattr(heisenberg, "_BLOCK_BYTES", budget)
+    tracemalloc.start()
+    try:
+        W = heisenberg._least_volumes(fam, *prefix)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(W.view(np.int64), want.view(np.int64))
+    assert peak <= W.nbytes + 3 * budget, (peak, W.nbytes)
+    np.testing.assert_array_equal(maximal_field(f, w, fam).values.view(np.int64), field.view(np.int64))
+
+
+@st.composite
+def _kernel_geometries(draw):
+    """Narrow grids: n = 1 and 2, factor partitions, negative origins,
+    |mu| <= 3; full, dyadic and capped families."""
+    n = draw(st.integers(1, 2))
+    factors = draw(st.sampled_from([(), (2,)] if n == 1 else [(), (2, 2), (1, 3), (3, 1), (4,), (1, 1, 2)]))
+    widths = [draw(st.integers(1, 3 if n == 1 else 2)) for _ in range(2 * n)] + [draw(st.integers(1, 4))]
+    extents = tuple((lo, lo + wd - 1) for lo, wd in zip(draw(st.lists(st.integers(-4, 2), min_size=len(widths), max_size=len(widths))), widths))
+    g = GridSpec(n=n, extents=extents, factors=factors, mu=draw(st.integers(-3, 3)))
+    kind = draw(st.sampled_from(["full", "dyadic", "capped"]))
+    if kind != "capped":
+        return g, {"dyadic_only": kind == "dyadic"}
+    caps = tuple(draw(st.integers(1, g.cube_cap(i))) for i in range(len(g.factors)))
+    return g, {"max_sides": caps, "max_t_len": draw(st.integers(1, g.t_len))}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    case=_kernel_geometries(),
+    convention=st.sampled_from([SHIFT_STANDARD, SHIFT_SWAPPED]),
+    weight_seed=st.integers(0, 999),
+    wide=st.booleans(),
+    data_seed=st.one_of(st.none(), st.integers(0, 2**32 - 1)),
+)
+@example(
+    case=(GridSpec(n=2, extents=((-4, -2), (-4, -2), (-3, -1), (-4, -3), (-3, -1)), mu=0), {}),
+    convention=SHIFT_STANDARD,
+    weight_seed=164,
+    wide=True,
+    data_seed=None,
+)
+def test_fast_path_equals_reference_on_random_geometries(case, convention, weight_seed, wide, data_seed):
+    """With an integer-hash weight the fast path equals the reference
+    bitwise; with a weight spanning 1e-12 .. 1e3 it stays inside the
+    prefix envelope.  argmax_rectangle reads the field's value at a drawn
+    point.  Data are integers in [-4, 5], or the constant 1 when
+    data_seed is None."""
+    g, family_kw = case
+    fam = RectangleFamily(g, **family_kw)
+    rng = np.random.default_rng(data_seed)
+    f = ScalarField.constant(g, 1.0) if data_seed is None else _int_field(g, rng, -4, 6)
+    w = _wide_weight(g, weight_seed) if wide else _int_hash_weight(g, weight_seed)
+    fast = maximal_field(f, w, fam, convention).values
+    ref = maximal_field_reference(f, w, fam, convention).values
+    if wide:
+        assert np.abs(fast - ref).max() <= _envelope(f, w, fam)
+    else:
+        np.testing.assert_array_equal(fast, ref)
+    x = tuple(int(rng.integers(lo, hi + 1)) for lo, hi in g.extents)
+    assert argmax_rectangle(f, w, x, fam, convention)[1] == fast[tuple(c - lo for c, lo in zip(x, g.lows))]
 
 
 # ---------------------------------------------------------------------------
