@@ -16,6 +16,7 @@ cube of side 3s.  All overlap accounting is exact integer cell counting.
 from __future__ import annotations
 
 import csv
+import itertools
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
@@ -192,12 +193,25 @@ def union_mask(rects: Sequence[Rectangle], grid: GridSpec) -> np.ndarray:
 
 
 def overlap_counts(rects: Sequence[Rectangle], grid: GridSpec) -> np.ndarray:
-    counts = np.zeros(grid.shape, dtype=np.int64)
+    """Per cell, the number of rects covering it; rectangles inside the
+    extents.  Each rectangle adds +1 or -1 at the 2^d corners of its cells
+    in a difference table one cell wider per axis, (-1)^(high corners),
+    whose prefix sums along every axis are the counts, exact in int64."""
+    rects = list(rects)
     for r in rects:
         if not r.within(grid):
             raise DomainError(f"rectangle {r.bounds} outside extents {grid.extents}")
-        counts[r.slices(grid)] += 1
-    return counts
+    diff = np.zeros([w + 1 for w in grid.shape], dtype=np.int64)
+    if rects:
+        # per rectangle and axis its first cell and the one past its last
+        edges = np.asarray([r.bounds for r in rects]) - np.asarray(grid.lows)[:, None]
+        edges[..., 1] += 1
+        for high in itertools.product((0, 1), repeat=grid.d):
+            corner = edges[:, np.arange(grid.d), high]
+            np.add.at(diff, tuple(corner.T), -1 if sum(high) % 2 else 1)
+    for ax in range(grid.d):
+        np.cumsum(diff, axis=ax, out=diff)
+    return diff[tuple(slice(0, w) for w in grid.shape)].copy()
 
 
 def union_volume(rects: Sequence[Rectangle], w: WeightField) -> float:

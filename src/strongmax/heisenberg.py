@@ -253,9 +253,10 @@ def _corner_tables(family: RectangleFamily, dims: np.ndarray, anchors) -> list[l
     return tabs
 
 
-def _corner_rows(tabs: list[np.ndarray], at) -> np.ndarray:
-    """One factor's flat corner indices (2^N, n_o) for an anchor at `at` on
-    its axes, out of _corner_tables."""
+def _corner_rows(tabs: list, at) -> np.ndarray:
+    """The sum of the rows tabs[j][at[j]]: one factor's flat corner indices
+    (2^N, n_o) for an anchor at `at` on its axes, out of _corner_tables,
+    or a column's offsets in the least-volume table (_box_blocks)."""
     flat = tabs[0][at[0]]
     for tab, b in zip(tabs[1:], at[1:]):
         flat = flat + tab[b]
@@ -268,15 +269,17 @@ def _clip_groups(family: RectangleFamily):
     extents they clip to, per anchor position on the factor's axes, and
     the factor's boxes grouped by the same windows.
 
-    Returns per factor i (tabs, groups, counts, ids, boxes): tabs are the
-    _corner_tables of the extents' zero-bordered summed-area table (dims
-    spatial_shape + 1), which _box_blocks folds on every call; groups
+    Returns per factor i (firsts, groups, counts, ids, boxes): groups
     lists per anchor position on i's axes, flat in C order,
     (order, starts), order (n_o_i,) sorting the options of
     _factor_options(family, i) by their clipped corner columns, stably,
     and starts (g,) the first entries of its g runs of equal columns;
     counts (positions,) holds each g.  The options of one group sum one
-    window of the extents: their columns are equal.
+    window of the extents: their columns are equal.  firsts lists per
+    anchor position the flat corner indices (2^N_i, g) of the groups'
+    first options in the extents' zero-bordered summed-area table (dims
+    spatial_shape + 1, out of its _corner_tables), which _box_blocks
+    folds on every call.
 
     boxes = (lo, side, first) lists the U_i boxes of the factor that hold
     an anchor inside the extents, lo (U_i, N_i) their low corners less the
@@ -301,16 +304,17 @@ def _clip_groups(family: RectangleFamily):
         by_window = np.argsort(key, kind="stable")
         lo, side, key = lo[by_window], side[by_window], key[by_window]
         first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
-        groups, ids = [], []
+        firsts, groups, ids = [], [], []
         for at in np.ndindex(*w):
             flat = _corner_rows(tabs, at)
             order = np.lexsort(flat[::-1])
             srt = flat[:, order]
             starts = np.flatnonzero(np.r_[True, np.any(srt[:, 1:] != srt[:, :-1], axis=0)])
+            firsts.append(srt[:, starts])
             groups.append((order, starts))
             ids.append(np.searchsorted(key[first], srt[0, starts] * span + srt[-1, starts]))
         counts = np.asarray([len(starts) for _, starts in groups])
-        out.append((tabs, groups, counts, ids, (lo, side, first)))
+        out.append((firsts, groups, counts, ids, (lo, side, first)))
     return tuple(out)
 
 
@@ -321,9 +325,9 @@ def _fold(table, axis, flat, out, slab):
     _factor_options, are gathered along axis and added with sign
     (-1)^(low axes) into out."""
     # indices are in range; mode="clip" keeps take from buffering out
-    np.take(table, flat[0], axis=axis, out=out, mode="clip")
+    table.take(flat[0], axis, out, "clip")
     for c in range(1, len(flat)):
-        np.take(table, flat[c], axis=axis, out=slab, mode="clip")
+        table.take(flat[c], axis, slab, "clip")
         (np.subtract if bin(c).count("1") % 2 else np.add)(out, slab, out=out)
     return out
 
@@ -398,21 +402,30 @@ def _column_volumes(family: RectangleFamily, w_exp: np.ndarray, pw: np.ndarray, 
     return _box_volumes(w_exp, pw, family.grid, boxes)
 
 
-def _least_volumes(family: RectangleFamily, w_exp: np.ndarray, pw: np.ndarray) -> np.ndarray:
+def _least_volumes(family: RectangleFamily, w_exp: np.ndarray, pw: np.ndarray, windows=None) -> np.ndarray:
     """The least weighted volume of every window group, W (G_0, .., G_m):
     W[q_0, .., q_m] is the least _box_volumes over the boxes that take
     per factor i one box of its window q_i (_clip_groups), so a column's
-    groups read theirs with one gather.  Every box is folded once, in
-    runs of the first factor's windows whose folds take about
-    _BLOCK_BYTES (one window at least): per box of that factor, its
-    2^N_0 corner rows of pw, its fold result and its corner slab, each
-    holding, per other factor, that factor's boxes or its pw entries,
-    whichever are more, 8 bytes apiece.  The table of every box is never
-    held.  InvariantViolation unless every least volume is positive."""
+    groups read theirs with one gather.  Given windows, per factor i the
+    sorted windows to take of its G_i, W holds only their groups, in that
+    order.  Every box is folded once, in runs of the first factor's
+    windows whose folds take about _BLOCK_BYTES (one window at least):
+    per box of that factor, its 2^N_0 corner rows of pw, its fold result
+    and its corner slab, each holding, per other factor, that factor's
+    boxes or its pw entries, whichever are more, 8 bytes apiece.  The
+    table of every box is never held.  InvariantViolation unless every
+    least volume is positive."""
     grid = family.grid
     axs = [list(grid.factor_axes(i)) for i in range(len(grid.factors))]
     margins = np.asarray(family.margins())
     boxes = [(lo + margins[ax], side, first) for ax, (*_, (lo, side, first)) in zip(axs, _clip_groups(family))]
+    if windows is not None:
+        # the boxes of the windows taken, each window's boxes in their order
+        for i, ((lo, side, first), q) in enumerate(zip(boxes, windows)):
+            sizes = np.diff(first, append=len(side))[q]
+            starts = np.cumsum(sizes) - sizes
+            pick = np.repeat(first[q] - starts, sizes) + np.arange(sizes.sum())
+            boxes[i] = (lo[pick], side[pick], starts)
     W = np.empty([len(first) for _, _, first in boxes])
     dims = np.asarray(pw.shape)
     wide = math.prod(max(len(side), int(np.prod(dims[ax]))) for ax, (_, side, _) in zip(axs[1:], boxes[1:]))
@@ -439,6 +452,7 @@ def _box_blocks(
     family: RectangleFamily,
     cols: np.ndarray,
     convention: str,
+    prefix: tuple | None = None,
 ) -> Iterator[tuple[int, tuple, np.ndarray, np.ndarray]]:
     """Box stage of the fast path, one anchor column at a time (flat
     spatial indices cols, C order), one box per clipped data window.
@@ -458,9 +472,12 @@ def _box_blocks(
 
     The weighted volumes do not depend on f or on the anchor: a group's
     members are every box of its window, and a box's volume is a function
-    of the box.  So the set-up builds, once per call, the table W of every
-    window group's least volume (_least_volumes), and a column reads its
-    groups' with one gather, W at the product of their windows.
+    of the box.  So the set-up builds, once per call, the table W of the
+    least volume of every window group that the columns' groups reach
+    (_least_volumes; every group, for every column), out of the weight
+    prefix (_weight_prefix) that a caller holding it passes as prefix,
+    and a column reads its groups' with one gather, W at the product of
+    their windows.
 
     Every cell's sheared samples of anchor cols[k] lie on a common axis of
     n_c = t_len + 2 * top cuts from c_lo = t_lo - top + 1, top being the
@@ -468,13 +485,18 @@ def _box_blocks(
     are padded with n_c zeros in front and n_c copies of their total
     behind, so each cell reads one n_c-wide window of its row, at its
     clipped shear, the anchor's combination of a per-call table of unit
-    anchors' shears.  prefix_sums sums their spatial prefix p into the
-    interior of a zero-bordered buffer.  _fold sums the groups' windows
-    out of p, one factor at a time, last first, and p's first factor one
-    run of its groups per block.  Yields (k, at, bv, wv) per block of
-    groups: at = (gs, groups) holds the block's first group gs in C order
-    over the column's group counts (g_0, .., g_m) and the column's groups
-    (order, starts) per factor; bv (n_c, nb) is stored cuts-major,
+    anchors' shears.  Columns go in runs of B, as many as their gathered
+    windows and spatial prefixes fit _BLOCK_BYTES (one at least): a run
+    takes its shears with one product, gathers its columns' windows one
+    column at a time into the interior of a zero-bordered run buffer,
+    and prefix_sums sums their spatial prefixes p there in place over a
+    leading run axis, each entry from the same operands in the same
+    order as for one column.  Per column, _fold sums the groups'
+    windows out of its p, one factor at a time, last first, and p's first
+    factor one run of its groups per block.  Yields (k, at, bv, wv) per
+    block of groups: at = (gs, groups) holds the block's first group gs in
+    C order over the column's group counts (g_0, .., g_m) and the column's
+    groups (order, starts) per factor; bv (n_c, nb) is stored cuts-major,
     bv[c, j] being the sum of omega * |f| over group gs + j's window at
     sheared t < c_lo + c, and wv (nb,) holds the groups' least volumes.
     bv views a per-call buffer that the next block refills.  A block is a
@@ -485,20 +507,20 @@ def _box_blocks(
     The working set is allocated once per call, in this order: the padded
     weighted rows, n_sp * (t_len + 1 + 2 * n_c); omega over the extents
     widened by the margins and its prefix pw, each prod(w_a + 2 * m_a)
-    entries or one more per axis, m_a the margin on axis a; W,
+    entries or one more per axis, m_a the margin on axis a; W, at most
     prod_i G_i floats for G_i windows of factor i, built in runs of the
     first factor's windows whose folds take about _BLOCK_BYTES each and
-    are freed before the rest is allocated; p, prod(w_a + 1) * n_c; the
-    shear table, 2n * n_sp; per factor a fold result and a corner slab
-    for p, sized by the widest column; and the cuts-major block.  Cached
-    per family (_clip_groups): p's corner tables,
-    sum_i sum_(a in factor i) w_a * 2^N_i * n_o_i * 8 bytes, w_a being
-    the extents' width on axis a, N_i factor i's axis count and n_o_i its
-    box options; the group tables, n_o_i + 2 * g per anchor position on
-    factor i's axes; and the boxes by window, U_i * (N_i + 1) + G_i.  A
-    column allocates its shear and window starts (n_sp,), its copy of the
-    windows, n_sp * n_c, its groups' corner columns, their least volumes
-    and, for a factor of several axes, the sum of p's corner rows.
+    are freed before the rest is allocated; the shear table, 2n * n_sp;
+    the run buffer of the gathered windows and p, B * prod(w_a + 1) *
+    n_c, under _BLOCK_BYTES unless B is 1; per factor a fold result and a
+    corner slab for p, sized by the widest column; and the cuts-major
+    block.  Cached per family (_clip_groups), per anchor
+    position on factor i's axes: the group tables, n_o_i + 2 * g, and
+    the groups' first corners, 2^N_i * g, n_o_i being i's box options and
+    N_i its axis count; and the boxes by window, U_i * (N_i + 1) + G_i.  A
+    run allocates its shears and window starts (B, n_sp); a column its
+    windows, n_sp * n_c, before they are copied into the run buffer, its
+    least volumes and their offsets in W.
 
     Range: the set-up raises RangeError unless S = sum(omega * |f|) and
     the weight prefix's total T stay finite times the bounds below, so
@@ -532,16 +554,7 @@ def _box_blocks(
     # the bounds of the docstring, with 2^-20 to spare for rounding
     if not math.isfinite(S * ((max(grid.factors) + 1) // 2) * (1 + 2.0**-20)):
         raise RangeError(f"omega * |f| sums to {S!r}: its box sums overflow float64")
-    W = _least_volumes(family, *_weight_prefix(omega, family))
     rows[:, n_c + L + 1 :] = cf[:, -1:]
-    # cut j, at t = c_lo + j, of cell r reads the t-prefix at
-    # clip(c_lo + j + shear_r - t_lo, 0, L), entry n_c + that of its padded
-    # row: entry j of the row's window at shear_r + 1 - top + n_c, clipped
-    # to the windows there are; the shear is linear in the anchor
-    windows = np.lib.stride_tricks.sliding_window_view(rows, n_c, axis=1)
-    cells = np.arange(n_sp)
-    shears = _shear(grid.mu, np.eye(sp, dtype=np.int64), coords_sp, convention)
-    lows = np.asarray(grid.lows[:sp], dtype=np.int64)
     p_dims = np.add(grid.spatial_shape, 1)
     axs = [list(grid.factor_axes(i)) for i in range(len(grid.factors))]
     clip = _clip_groups(family)
@@ -552,9 +565,34 @@ def _box_blocks(
     g = np.stack([counts[pos] for (_, _, counts, _, _), pos in zip(clip, at)])
     inner = np.prod(g[1:], axis=0)
     runs = np.minimum(g[0], np.maximum(1, _BLOCK_BYTES // (2 * n_c * 8 * inner)))
+    # W, flat, holds the least volumes of the windows that the columns'
+    # groups reach; per factor and anchor position reached, offsets holds
+    # its groups' offsets in W along the factor's axis of a broadcast, so a
+    # column's volumes are W at the sum of its factors' offsets
+    reach = [np.unique(np.concatenate([ids[q] for q in np.unique(pos)])) for (*_, ids, _), pos in zip(clip, at)]
+    W = _least_volumes(family, *(_weight_prefix(omega, family) if prefix is None else prefix), reach)
+    strides = np.cumprod([1, *W.shape[:0:-1]])[::-1]
+    offsets = [
+        {q: (np.searchsorted(r, ids[q]) * stride).reshape(-1, *[1] * (len(axs) - 1 - i)) for q in np.unique(pos).tolist()}
+        for i, ((*_, ids, _), r, pos, stride) in enumerate(zip(clip, reach, at, strides))
+    ]
+    W = W.reshape(-1)
+    # cut j, at t = c_lo + j, of cell r reads the t-prefix at
+    # clip(c_lo + j + shear_r - t_lo, 0, L), entry n_c + that of its padded
+    # row: entry j of the row's window at shear_r + 1 - top + n_c, clipped
+    # to the windows there are; the shear is linear in the anchor
+    windows = np.lib.stride_tricks.sliding_window_view(rows, n_c, axis=1)
+    cells = np.arange(n_sp)
+    shears = _shear(grid.mu, np.eye(sp, dtype=np.int64), coords_sp, convention)
+    # a run of columns shares one shear, gather and spatial prefix: as many
+    # columns as their gathered windows and prefixes, counted apart, fit
+    # _BLOCK_BYTES, though the windows are gathered into the interior of
+    # the zero-bordered prefix buffer (runs counting the prefix alone, 7
+    # columns instead of 3, ran about 10% slower at n = 1 dyadic size 24)
     p_merged = [int(np.prod(p_dims[ax])) for ax in axs] + [n_c]
-    p_pad = np.zeros((*p_dims, n_c))
-    p = p_pad.reshape(p_merged)
+    B = min(len(cols), max(1, _BLOCK_BYTES // (8 * n_c * (n_sp + math.prod(p_merged[:-1])))))
+    p_run = np.zeros((B, *p_dims, n_c))
+    gathered = p_run[(slice(None),) + (slice(1, None),) * sp]
     # per factor a fold result and a corner slab of p, flat and sized for
     # the most groups of factors i.. in a column (tails[i]); one
     # cuts-major block
@@ -566,31 +604,36 @@ def _box_blocks(
     def bufs(i, shape):
         return p_bufs[i][: 2 * math.prod(shape)].reshape(2, *shape)
 
-    for k in np.argsort(-runs * inner, kind="stable").tolist():
-        anchor = coords_sp[cols[k]]
-        start = anchor @ shears
+    places = np.stack(at, axis=1).tolist()
+    order = np.argsort(-runs * inner, kind="stable")
+    for first in range(0, len(order), B):
+        ks = order[first : first + B]
+        start = coords_sp[cols[ks]] @ shears
         start += 1 - top + n_c
         # np.clip without its per-call Python checks (about 20 us)
         np.minimum(np.maximum(start, 0, out=start), L + 1 + n_c, out=start)
-        prefix_sums(windows[cells, start].reshape(*grid.spatial_shape, n_c), range(sp), out=p_pad)
-        base = anchor - lows
-        # per factor the anchor's groups, their first options' corners and
-        # their windows
-        groups = [by_pos[where[k]] for (_, by_pos, _, _, _), where in zip(clip, at)]
-        firsts = [_corner_rows(c[0], base[ax])[:, order[starts]] for c, ax, (order, starts) in zip(clip, axs, groups)]
-        wv = W[np.ix_(*(ids[where[k]] for (*_, ids, _), where in zip(clip, at)))].reshape(-1)
-        gk = g[:, k].tolist()
-        sums = p
-        for i in reversed(range(1, len(axs))):
-            sums = _fold(sums, i, firsts[i], *bufs(i, (*p_merged[:i], *gk[i:], n_c)))
-        run, width = int(runs[k]), int(inner[k])
-        for o in range(0, gk[0], run):
-            pos = firsts[0][:, o : o + run]
-            box_sums = _fold(sums, 0, pos, *bufs(0, (pos.shape[1], *gk[1:], n_c)))
-            bv = cm[: box_sums.size].reshape(n_c, -1)
-            np.copyto(bv, box_sums.reshape(-1, n_c).T)
-            gs = o * width
-            yield k, (gs, groups), bv, wv[gs : gs + bv.shape[1]]
+        for b, s in enumerate(start):
+            gathered[b] = windows[cells, s].reshape(*grid.spatial_shape, n_c)
+        prefix_sums(gathered[: len(ks)], range(1, sp + 1), out=p_run[: len(ks)])
+        for b, k in enumerate(ks.tolist()):
+            # per factor the anchor's groups, their first options' corners and
+            # their least volumes
+            where = places[k]
+            groups = [c[1][q] for c, q in zip(clip, where)]
+            firsts = [c[0][q] for c, q in zip(clip, where)]
+            wv = W.take(_corner_rows(offsets, where)).reshape(-1)
+            gk = g[:, k].tolist()
+            sums = p_run[b].reshape(p_merged)
+            for i in reversed(range(1, len(axs))):
+                sums = _fold(sums, i, firsts[i], *bufs(i, (*p_merged[:i], *gk[i:], n_c)))
+            run, width = int(runs[k]), int(inner[k])
+            for o in range(0, gk[0], run):
+                pos = firsts[0][:, o : o + run]
+                box_sums = _fold(sums, 0, pos, *bufs(0, (pos.shape[1], *gk[1:], n_c)))
+                bv = cm[: box_sums.size].reshape(n_c, -1)
+                np.copyto(bv, box_sums.reshape(-1, n_c).T)
+                gs = o * width
+                yield k, (gs, groups), bv, wv[gs : gs + bv.shape[1]]
 
 
 # the unit-slice bound's rounding margin, and the least normal float,
@@ -1018,7 +1061,8 @@ def argmax_rectangle(
     lo_off, side_ax, _ = _box_tables(family)
     cut = family.t_len_choices()[-1] + t - grid.t_lo
     top, ties, owner = -np.inf, [], None
-    for _, (gs, groups), bv, wv in _box_blocks(f, omega, family, np.asarray([col]), convention):
+    prefix = _weight_prefix(omega, family)
+    for _, (gs, groups), bv, wv in _box_blocks(f, omega, family, np.asarray([col]), convention, prefix):
         if owner is None:
             # every box's group, C order over the column's group counts,
             # every box's own volume and the groups' greatest volumes
@@ -1028,7 +1072,7 @@ def argmax_rectangle(
                 label[order] = np.repeat(np.arange(len(starts)), np.diff(starts, append=len(order)))
                 labels.append(label)
             owner = np.ravel_multi_index(np.meshgrid(*labels, indexing="ij"), [len(s) for _, s in groups]).reshape(-1)
-            most = _column_volumes(family, *_weight_prefix(omega, family), np.subtract(coords[:sp], grid.lows[:sp]))
+            most = _column_volumes(family, *prefix, np.subtract(coords[:sp], grid.lows[:sp]))
             own = most.reshape(-1)
             for i, (order, starts) in enumerate(groups):
                 most = np.maximum.reduceat(np.take(most, order, axis=i), starts, axis=i)

@@ -52,7 +52,11 @@ class InvariantViolation(RuntimeError):
 # sums and their cuts-major copy bv, 2 * n_c * 8 per box, a box standing
 # for one clipped data window of the column (the corner slab is as large
 # again); a block is a run of the first factor's window groups, one at
-# least, so a column with fewer groups takes fewer blocks.
+# least, so a column with fewer groups takes fewer blocks.  It sizes its
+# run of anchor columns by it too: per column, the gathered windows and
+# their zero-bordered spatial prefix, (n_sp + prod(w_a + 1)) * n_c * 8
+# for n_sp spatial cells of widths w_a, one column at least; the windows
+# are gathered into the prefix buffer, so a run holds less.
 # heisenberg._least_volumes sizes its runs of the first factor's windows
 # by it: per box of that factor, its corner rows of the weight prefix, its
 # fold result and its corner slab, each as wide as the other factors' box
@@ -370,8 +374,9 @@ def prefix_sums(values: np.ndarray, axes: Iterable[int], out: np.ndarray | None 
 
     Summed with one np.add per slab, into out if given: a float64 buffer
     of the result's shape whose zero border the caller keeps.  The first
-    of axes runs from values into the border's interior, the others in
-    place there; every entry adds the terms np.cumsum would, in its order.
+    of axes runs from values, which may be that interior itself, into the
+    border's interior, the others in place there; every entry adds the
+    terms np.cumsum would, in its order.
     """
     axes = tuple(axes)
     values = np.asarray(values, dtype=np.float64)

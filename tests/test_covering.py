@@ -19,6 +19,7 @@ from strongmax import (
     make_power_weight,
     order_for_selection,
     overlap_counts,
+    random_rectangle,
     replay_selection,
     slice_union_ratios,
     triple_cross_section,
@@ -196,6 +197,36 @@ def test_union_and_overlap_counts():
     counts = overlap_counts([a, b], g)
     assert int(counts.max()) == 2
     assert int((counts == 2).sum()) == 1  # the shared cell (1, 1, 0)
+
+
+def _slice_counts(rects, grid):
+    # one slice increment per rectangle
+    counts = np.zeros(grid.shape, dtype=np.int64)
+    for r in rects:
+        counts[r.slices(grid)] += 1
+    return counts
+
+
+def test_overlap_counts_match_slice_increments():
+    """Corner differences and prefix sums give the counts of adding 1 over
+    each rectangle's slices, on seeded batches: n = 1, n = 2 with factors
+    (2, 2), and a negative origin; an empty batch counts zero, and a
+    rectangle outside the extents is a DomainError."""
+    grids = [
+        GridSpec.cube(1, 7, mu=1),
+        GridSpec(n=2, extents=((0, 3),) * 5, factors=(2, 2), mu=1),
+        GridSpec(n=1, extents=((-4, 1), (-6, -2), (-3, 4)), mu=-1),
+    ]
+    rng = np.random.default_rng(77)
+    for g in grids:
+        for count in (1, 5, 300):
+            rects = [random_rectangle(g, rng) for _ in range(count)]
+            np.testing.assert_array_equal(overlap_counts(rects, g), _slice_counts(rects, g))
+        assert not overlap_counts([], g).any()
+    g = grids[2]
+    outside = fb([(-5, -4), (-6, -5), (0, 0)], (1, 1))
+    with pytest.raises(DomainError, match="outside extents"):
+        overlap_counts([random_rectangle(g, rng), outside], g)
 
 
 def test_indicator_power_sum_example():

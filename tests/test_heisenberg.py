@@ -329,6 +329,55 @@ def test_fast_path_chunking_is_inert(monkeypatch):
         np.testing.assert_array_equal(whole, maximal_field_reference(f, w, fam).values)
 
 
+def test_column_runs_change_no_bit(monkeypatch):
+    """The fast path shears, gathers and sums the spatial prefix of a run of
+    anchor columns at once, as many as their gathered windows and prefixes
+    fit _BLOCK_BYTES.  Runs of one column, of every column and of a size
+    that leaves a partial last run give fields bitwise those of the
+    default budget and of maximal_field_reference, and argmax_rectangle
+    reads the field's maximum at its peak: on an n = 1 dyadic family, on
+    n = 2 with factors (1, 3), a negative origin and a capped family, and
+    under the swapped convention at mu = -2."""
+    cases = [
+        (GridSpec.cube(1, 6, mu=1), {"dyadic_only": True}, SHIFT_STANDARD),
+        (
+            GridSpec(n=2, extents=((-2, 0), (-1, 1), (-2, -1), (-1, 0), (-3, 0)), factors=(1, 3), mu=1),
+            {"max_sides": (2, 2), "max_t_len": 3},
+            SHIFT_STANDARD,
+        ),
+        (GridSpec(n=1, extents=((-2, 3), (0, 4), (-1, 4)), mu=-2), {}, SHIFT_SWAPPED),
+    ]
+    rng = np.random.default_rng(1717)
+    prefix_sums = heisenberg.prefix_sums
+    for g, family_kw, convention in cases:
+        fam = RectangleFamily(g, **family_kw)
+        f = _int_field(g, rng, -4, 6)
+        w = _int_hash_weight(g)
+        want = maximal_field(f, w, fam, convention).values
+        np.testing.assert_array_equal(want, maximal_field_reference(f, w, fam, convention).values)
+        x = tuple(int(c) + lo for c, lo in zip(np.unravel_index(np.argmax(want), want.shape), g.lows))
+        # one column's gathered windows and zero-bordered spatial prefix
+        cols = int(np.prod(g.spatial_shape))
+        n_c = g.t_len + 2 * fam.t_len_choices()[-1]
+        per_column = 8 * n_c * (cols + int(np.prod(np.add(g.spatial_shape, 1))))
+        partial = 5 if cols % 5 else 7
+        for run in (1, cols, partial):
+            seen = []
+
+            def spy(values, axes, out=None):
+                if np.ndim(values) == 2 * g.n + 2:
+                    seen.append(len(values))
+                return prefix_sums(values, axes, out)
+
+            monkeypatch.setattr(heisenberg, "prefix_sums", spy)
+            monkeypatch.setattr(heisenberg, "_BLOCK_BYTES", run * per_column)
+            got = maximal_field(f, w, fam, convention).values
+            assert seen == [run] * (cols // run) + [cols % run] * (cols % run > 0), (g, run)
+            np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+            assert argmax_rectangle(f, w, x, fam, convention)[1] == want.max()
+            monkeypatch.undo()
+
+
 def test_fast_path_corner_tables_clip_at_both_ends():
     """Full families on multi-axis factors, negative origins and mu = -2:
     on every spatial axis some box corner falls below the extents and some
