@@ -99,10 +99,20 @@ def weak_type_quantity(
     lams = np.asarray(ladder, dtype=np.float64)
     if lams.size == 0 or not np.all(lams > 0):
         raise RangeError("ladder levels must be positive and nonempty")
+    return _weak_from_volumes(lams, _ladder_volumes(omega, mf, lams), p, denom)
+
+
+def _ladder_volumes(omega: WeightField, mf: MaximalField, lams: np.ndarray) -> list[float]:
+    """vol_w({mf > lam}) for each ladder level lam; they do not depend on p."""
     w_full = omega.full_values()
+    return [float(w_full[mf.values > lam].sum()) for lam in lams]
+
+
+def _weak_from_volumes(lams: np.ndarray, vols: list[float], p: float, denom: float) -> float:
+    """weak_type_quantity from the ladder, its level-set volumes and the
+    norm ||f||_Lp(w)."""
     best = 0.0
-    for lam in lams:
-        vol = float(w_full[mf.values > lam].sum())
+    for lam, vol in zip(lams, vols):
         if vol > 0:
             best = max(best, float(lam) * vol ** (1.0 / p))
     return best / denom
@@ -205,9 +215,12 @@ def _trial_rows(cfg: ExperimentConfig, size: int, trial: int) -> list[TrialRow]:
     rng = np.random.default_rng(trial_seed(cfg, size, trial))
     f = GENERATORS[cfg.generator](grid, rng)
     mf = maximal_field(f, w, family, cfg.convention)
+    # the ladder and its volumes are the same for every p
+    lams = lambda_ladder(mf, cfg.ladder_rungs)
+    vols = _ladder_volumes(w, mf, lams)
     out = []
     for p in cfg.p_values:
-        weak = weak_type_quantity(f, w, p, mf, rungs=cfg.ladder_rungs)
+        weak = _weak_from_volumes(lams, vols, p, _checked_norm(f, w, p, "weak-type quantity"))
         strong = strong_ratio(f, w, p, mf)
         out.append(TrialRow(size, trial, p, weak, strong))
     return out

@@ -61,12 +61,12 @@ class InvariantViolation(RuntimeError):
 # by it: per box of that factor, its corner rows of the weight prefix, its
 # fold result and its corner slab, each as wide as the other factors' box
 # volumes, one window at least.
-# weights._subset_sums sizes its rows of subset permutations by it: an
-# index row and its gathered, summed weights, 2 * V * 8 per row for a
-# rectangle of V cells, one row at least.  From bench/run.py runs on all
-# four workloads (CHANGES.md): 1 << 20 .. 1 << 22 ran alike within the
-# host's noise, with peak RSS growing in the budget; 1 << 26 ran 30-50%
-# slower at 2.5-5x the RSS.
+# weights._subset_sums sizes its rows of subset samples by it: a row of
+# random keys, its sorted copy and the selected weights, 3 * V * 8 per
+# row for a rectangle of V cells, one row at least.  From bench/run.py
+# runs on all four workloads (CHANGES.md): 1 << 20 .. 1 << 22 ran alike
+# within the host's noise, with peak RSS growing in the budget; 1 << 26
+# ran 30-50% slower at 2.5-5x the RSS.
 _BLOCK_BYTES = 1 << 21
 
 

@@ -269,9 +269,13 @@ def exact_eta(w: WeightField, r: Rectangle, threshold: float = 0.5) -> float:
     The optimum keeps the floor(V*threshold)+1 cells of smallest weight,
     so the value is a partial sort away and lies in (0, 1].
     """
+    return _least_share(w.rectangle_cell_weights(r), threshold)
+
+
+def _least_share(vals: np.ndarray, threshold: float) -> float:
+    """exact_eta on the flat cell weights `vals` of a rectangle."""
     if not 0 < threshold < 1:
         raise RangeError(f"threshold must lie in (0, 1), got {threshold}")
-    vals = w.rectangle_cell_weights(r)
     if not np.all(vals > 0):
         raise InvariantViolation("weights must be positive on the rectangle")
     V = vals.size
@@ -340,33 +344,44 @@ def _subset_sums(vals: np.ndarray, k: int, samples: int, rng: np.random.Generato
     """Sums of `samples` random subsets of vals, each of m cells with m
     uniform on [k, V], the cells a uniform m-subset.
 
-    All sizes are drawn first.  A subset is the first m entries of a
-    random permutation (Fisher-Yates), so a block of rows is one
-    rng.permuted along axis 1, a gather and an in-place cumsum read at
-    m - 1.  Blocks hold at most _BLOCK_BYTES of indices and prefixes, one
-    row at least; permuted draws row by row, so the block size does not
-    change the sums.
+    All sizes are drawn first.  Then each sample takes V keys, one raw
+    64-bit word of rng's bit generator per cell, and its subset is the m
+    cells of smallest key: i.i.d. keys rank the cells in uniformly random
+    order.  A block of rows sorts its keys along the row, reads each row's
+    m-th smallest as a cut and selects the cells whose key is at most the
+    cut.  Two equal keys (probability below V^2 * 2^-64 per row) can put
+    more than m cells under the cut; such a row keeps the first m cells of
+    a stable argsort of its keys, so every row stays an exact uniform
+    m-subset.  The sum is one reduction per row of the selection times
+    vals, in cell order.
+
+    Blocks hold at most _BLOCK_BYTES of keys, sorted keys and products,
+    3 * V * 8 per row, one row at least.  The keys come one word each in
+    row order and every row is summed on its own, so the block size does
+    not change the sums.
     """
     V = vals.size
     m = rng.integers(k, V + 1, size=samples)
-    rows = min(samples, max(1, _BLOCK_BYTES // (2 * V * 8)))
-    idx = np.empty((rows, V), dtype=np.intp)
-    pre = np.empty((rows, V))
+    rows = min(samples, max(1, _BLOCK_BYTES // (3 * V * 8)))
     sums = np.empty(samples)
     for s in range(0, samples, rows):
-        b = min(rows, samples - s)
-        block, acc = idx[:b], pre[:b]
-        block[...] = np.arange(V)
-        rng.permuted(block, axis=1, out=block)
-        np.take(vals, block, out=acc)
-        np.cumsum(acc, axis=1, out=acc)
-        sums[s : s + b] = acc[np.arange(b), m[s : s + b] - 1]
+        mb = m[s : s + rows]
+        keys = rng.bit_generator.random_raw((mb.size, V))
+        cut = np.sort(keys, axis=1)[np.arange(mb.size), mb - 1]
+        chosen = keys <= cut[:, None]
+        # a row holds at least m keys at most its m-th smallest, so the
+        # counts match m on every row exactly when their totals match
+        if np.count_nonzero(chosen) != mb.sum():
+            for i in np.flatnonzero(np.count_nonzero(chosen, axis=1) != mb):
+                chosen[i] = False
+                chosen[i, np.argsort(keys[i], kind="stable")[: mb[i]]] = True
+        sums[s : s + mb.size] = (chosen * vals).sum(axis=1)
     return sums
 
 
-def _mc_eta(w: WeightField, r: Rectangle, samples: int, rng: np.random.Generator, threshold: float) -> float:
-    """Monte Carlo upper estimate: random admissible subsets of r's cells."""
-    vals = w.rectangle_cell_weights(r)
+def _mc_eta(vals: np.ndarray, samples: int, rng: np.random.Generator, threshold: float) -> float:
+    """Monte Carlo upper estimate: random admissible subsets of the cells
+    whose weights are `vals`."""
     k = int(np.floor(vals.size * threshold)) + 1
     return min(1.0, float(_subset_sums(vals, k, samples, rng).min() / vals.sum()))
 
@@ -395,8 +410,9 @@ def eta_survey(
         rects = [random_rectangle(grid, rng) for _ in range(rectangle_budget)]
     rows = []
     for r in rects:
-        eta = exact_eta(w, r, threshold)
-        mc = _mc_eta(w, r, subset_samples, rng, threshold) if subset_samples else None
+        vals = w.rectangle_cell_weights(r)
+        eta = _least_share(vals, threshold)
+        mc = _mc_eta(vals, subset_samples, rng, threshold) if subset_samples else None
         rows.append(EtaRow(r.bounds, r.volume, eta, mc))
     global_eta = min(row.eta_exact for row in rows)
     mc_global = min((row.eta_mc for row in rows), default=None) if subset_samples else None

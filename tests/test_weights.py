@@ -353,15 +353,53 @@ def test_eta_survey_monte_carlo_dominates():
 
 
 def test_subset_sums_match_a_literal_loop_on_the_same_stream():
-    # the loop draws the sizes, then one permutation per sample; only the
-    # summation order differs, so V * eps bounds the relative gap
+    # the loop draws the sizes, then per sample V raw 64-bit keys, and sums
+    # the cells of the m smallest keys; only the summation order differs,
+    # so V * eps bounds the relative gap
     vals = np.random.default_rng(3).random(23) + 0.5
     V, k, samples = 23, 12, 50
     got = weights._subset_sums(vals, k, samples, np.random.default_rng(8))
     rng = np.random.default_rng(8)
     m = rng.integers(k, V + 1, size=samples)
-    want = np.array([vals[rng.permutation(V)[:mi]].sum() for mi in m])
+    want = np.array([vals[np.argsort(rng.bit_generator.random_raw(V))[:mi]].sum() for mi in m])
     np.testing.assert_allclose(got, want, rtol=V * 2.0**-52, atol=0)
+
+
+class _TiedKeys:
+    """A Generator's `integers`, with raw keys from {0, 1, 2}, so most
+    rows tie at their cut; one word of the real stream per key, so the
+    keys do not depend on how the draws are split into calls."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self.bit_generator = self
+
+    def integers(self, *args, **kwargs):
+        return self._rng.integers(*args, **kwargs)
+
+    def random_raw(self, size):
+        return self._rng.bit_generator.random_raw(size) % np.uint64(3)
+
+
+@pytest.mark.parametrize("block_bytes", [None, 1])
+def test_subset_sums_break_key_ties_in_stable_key_order(monkeypatch, block_bytes):
+    # weights 2^i: a sum is the bit mask of its subset, exactly
+    if block_bytes is not None:
+        monkeypatch.setattr(weights, "_BLOCK_BYTES", block_bytes)
+    vals = 2.0 ** np.arange(6)
+    V, k, samples = 6, 2, 200
+    sums = weights._subset_sums(vals, k, samples, _TiedKeys(5))
+    ref = _TiedKeys(5)
+    m = ref.integers(k, V + 1, size=samples)
+    keys = ref.random_raw((samples, V))
+    ranked = np.sort(keys, axis=1)
+    tied = [i for i in range(samples) if m[i] < V and ranked[i, m[i] - 1] == ranked[i, m[i]]]
+    assert len(tied) > samples // 4
+    masks = sums.astype(np.int64)
+    np.testing.assert_array_equal(masks, sums)
+    assert [bin(x).count("1") for x in masks] == list(m)
+    want = [vals[np.argsort(keys[i], kind="stable")[: m[i]]].sum() for i in range(samples)]
+    np.testing.assert_array_equal(sums, want)
 
 
 def test_subset_sampler_distribution_is_exact():
