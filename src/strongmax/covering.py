@@ -121,19 +121,48 @@ class Selection:
                 )
 
 
+def _cell_edges(rects: Sequence[Rectangle], grid: GridSpec) -> np.ndarray:
+    """Per rectangle and axis its first cell and the one past its last, as
+    grid indices in an int64 (count, d, 2) array, after one check that
+    every rectangle lies inside the extents."""
+    rects = list(rects)
+    d = grid.d
+    try:
+        edges = np.array([r.bounds for r in rects], dtype=np.int64).reshape(len(rects), d, 2)
+    except (ValueError, OverflowError):  # another number of axes, or far outside
+        first = next(r for r in rects if not r.within(grid))
+        raise DomainError(f"rectangle {first.bounds} outside extents {grid.extents}") from None
+    edges -= np.asarray(grid.lows, dtype=np.int64)[:, None]
+    edges[..., 1] += 1
+    inside = ((edges[..., 0] >= 0) & (edges[..., 1] <= np.asarray(grid.shape))).all(axis=1)
+    if not inside.all():
+        first = rects[int(np.argmin(inside))]
+        raise DomainError(f"rectangle {first.bounds} outside extents {grid.extents}")
+    return edges
+
+
 def covering_select(rects: Sequence[Rectangle], grid: GridSpec, cross="t") -> Selection:
     """Run the half-coverage selection over rectangles already ordered by
     order_for_selection.  Rectangles must lie inside the extents; the
-    companions may overhang and are clipped for coverage accounting."""
+    companions may overhang and are clipped for coverage accounting.
+
+    One bounds check covers the batch; each rectangle in input order then
+    costs one count_nonzero of the covered mask over its cells."""
     rects = tuple(rects)
-    for r in rects:
-        if not r.within(grid):
-            raise DomainError(f"rectangle {r.bounds} outside extents {grid.extents}")
+    edges = _cell_edges(rects, grid)
+    d = grid.d
+    # flat lists of Python ints: the walk slices with them, and a nested
+    # per-rectangle list would cost a list object per rectangle and axis
+    starts = edges[..., 0].ravel().tolist()
+    stops = edges[..., 1].ravel().tolist()
+    volumes = np.prod(edges[..., 1] - edges[..., 0], axis=1).tolist()
     covered = np.zeros(grid.shape, dtype=bool)
+    count_nonzero = np.count_nonzero
     chosen, companions, rows = [], [], []
     for idx, r in enumerate(rects):
-        overlap = int(covered[r.slices(grid)].sum())
-        V = r.volume
+        k = idx * d
+        overlap = int(count_nonzero(covered[tuple(map(slice, starts[k : k + d], stops[k : k + d]))]))
+        V = volumes[idx]
         if 2 * overlap < V:
             rows.append(SelectionRow(idx, True, len(chosen), overlap, V))
             chosen.append(idx)
@@ -197,15 +226,9 @@ def overlap_counts(rects: Sequence[Rectangle], grid: GridSpec) -> np.ndarray:
     extents.  Each rectangle adds +1 or -1 at the 2^d corners of its cells
     in a difference table one cell wider per axis, (-1)^(high corners),
     whose prefix sums along every axis are the counts, exact in int64."""
-    rects = list(rects)
-    for r in rects:
-        if not r.within(grid):
-            raise DomainError(f"rectangle {r.bounds} outside extents {grid.extents}")
+    edges = _cell_edges(rects, grid)
     diff = np.zeros([w + 1 for w in grid.shape], dtype=np.int64)
-    if rects:
-        # per rectangle and axis its first cell and the one past its last
-        edges = np.asarray([r.bounds for r in rects]) - np.asarray(grid.lows)[:, None]
-        edges[..., 1] += 1
+    if len(edges):
         for high in itertools.product((0, 1), repeat=grid.d):
             corner = edges[:, np.arange(grid.d), high]
             np.add.at(diff, tuple(corner.T), -1 if sum(high) % 2 else 1)

@@ -71,6 +71,8 @@ _BLOCK_BYTES = 1 << 21
 
 
 def _as_int(x, what: str) -> int:
+    if type(x) is int:
+        return x
     if isinstance(x, (bool, float)) or (isinstance(x, np.generic) and not isinstance(x, np.integer)):
         raise DomainError(f"{what} must be an integer, got {x!r}")
     try:
@@ -196,6 +198,17 @@ class GridSpec:
         """Largest cube side that fits the extents of factor i."""
         return min(self.shape[a] for a in self.factor_axes(i))
 
+    @cached_property
+    def _draw_plan(self) -> tuple:
+        """What random_rectangle reads: per factor its cube cap and per
+        axis (lo, hi + 2), the base of a cube of side s being drawn from
+        [lo, hi + 2 - s); then the t extent (lo, hi + 2, length)."""
+        factors = tuple(
+            (self.cube_cap(i), tuple((self.lows[a], self.highs[a] + 2) for a in self.factor_axes(i)))
+            for i in range(len(self.factors))
+        )
+        return factors, (self.t_lo, self.t_hi + 2, self.t_len)
+
     def axis_names(self) -> list[str]:
         n = self.n
         return [f"u{k+1}" for k in range(n)] + [f"v{k+1}" for k in range(n)] + ["t"]
@@ -223,7 +236,7 @@ class Rectangle:
     def __post_init__(self):
         cubes = []
         for base, side in self.cubes:
-            base = tuple(_as_int(b, "cube base") for b in base)
+            base = tuple([_as_int(b, "cube base") for b in base])
             side = _as_int(side, "cube side")
             if not base:
                 raise DomainError("cube with no axes")
@@ -474,20 +487,23 @@ def random_rectangle(
     max_sides: Sequence[int] | None = None,
     max_t_len: int | None = None,
 ) -> Rectangle:
-    """Uniform side then uniform placement, independently per factor and t."""
+    """Uniform side then uniform placement, independently per factor and t.
+
+    One scalar rng.integers call per value: each factor's side, then its
+    base coordinates, then the t length and the t start.  Seeded batches
+    (cover, eta, the boxes generator) are that stream, so it stays as is."""
+    factors, (t_min, t_top, t_cap) = grid._draw_plan
+    integers = rng.integers
     cubes = []
-    for i, N in enumerate(grid.factors):
-        cap = grid.cube_cap(i)
+    for i, (cap, axes) in enumerate(factors):
         if max_sides is not None:
             cap = min(cap, int(max_sides[i]))
-        s = int(rng.integers(1, cap + 1))
-        base = tuple(
-            int(rng.integers(grid.lows[a], grid.highs[a] - s + 2)) for a in grid.factor_axes(i)
-        )
-        cubes.append((base, s))
-    t_cap = grid.t_len if max_t_len is None else min(grid.t_len, int(max_t_len))
-    L = int(rng.integers(1, t_cap + 1))
-    t_lo = int(rng.integers(grid.t_lo, grid.t_hi - L + 2))
+        s = int(integers(1, cap + 1))
+        cubes.append((tuple([int(integers(lo, top - s)) for lo, top in axes]), s))
+    if max_t_len is not None:
+        t_cap = min(t_cap, int(max_t_len))
+    L = int(integers(1, t_cap + 1))
+    t_lo = int(integers(t_min, t_top - L))
     return Rectangle(tuple(cubes), t_lo, t_lo + L - 1)
 
 

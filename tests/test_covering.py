@@ -1,6 +1,7 @@
 """Selection dichotomy, companions, audits, and union statistics."""
 
 import csv
+import re
 
 import numpy as np
 import pytest
@@ -141,6 +142,85 @@ def test_selection_requires_in_grid_rectangles():
     g = _grid(4)
     with pytest.raises(DomainError):
         covering_select([fb([(3, 4), (0, 1), (0, 1)], (1, 1))], g)
+
+
+def test_batch_bounds_check_names_the_first_rectangle_outside():
+    """One check covers the whole batch, and the error still names the
+    first rectangle outside the extents (or with another number of axes,
+    or past int64), wherever it sits in the batch."""
+    g = GridSpec(n=1, extents=((-4, 1), (-6, -2), (-3, 4)), mu=1)
+    rng = np.random.default_rng(31)
+    batch = [random_rectangle(g, rng) for _ in range(40)]
+    low = fb([(-5, -4), (-6, -5), (0, 0)], (1, 1))
+    high = fb([(0, 1), (-3, -2), (4, 5)], (1, 1))
+    wide = Rectangle.from_bounds([(0, 0)] * 5, (1, 1, 1, 1))
+    far = fb([(2**70, 2**70), (-3, -3), (0, 0)], (1, 1))
+    for bad in (low, high, wide, far):
+        for at in (0, 17, 40):
+            rects = batch[:at] + [bad] + batch[at:] + [high]
+            pattern = re.escape(f"rectangle {bad.bounds} outside extents")
+            with pytest.raises(DomainError, match=pattern):
+                covering_select(rects, g)
+            with pytest.raises(DomainError, match=pattern):
+                overlap_counts(rects, g)
+
+
+def _literal_select(rects, grid, cross="t"):
+    # the selection walk as first written: per rectangle within, slices
+    # and a bool sum
+    rects = tuple(rects)
+    for r in rects:
+        if not r.within(grid):
+            raise DomainError(f"rectangle {r.bounds} outside extents {grid.extents}")
+    covered = np.zeros(grid.shape, dtype=bool)
+    chosen, companions, rows = [], [], []
+    for idx, r in enumerate(rects):
+        overlap = int(covered[r.slices(grid)].sum())
+        V = r.volume
+        if 2 * overlap < V:
+            rows.append(SelectionRow(idx, True, len(chosen), overlap, V))
+            chosen.append(idx)
+            comp = triple_cross_section(r, cross)
+            companions.append(comp)
+            sl = comp.clipped_slices(grid)
+            if sl is not None:
+                covered[sl] = True
+        else:
+            rows.append(SelectionRow(idx, False, len(chosen), overlap, V))
+    return tuple(chosen), tuple(companions), tuple(rows)
+
+
+def test_selection_matches_the_literal_walk():
+    """Same rows, chosen indices and companions as the per-rectangle walk,
+    and a clean replay: random batches at n = 1 and 2, factor partitions,
+    negative origins, cross on t and on a factor, duplicates, and 2000
+    disjoint unit cubes that are all kept."""
+    rng = np.random.default_rng(2029)
+    grids = [
+        (GridSpec.cube(1, 12, mu=1), ("t", 0, 1)),
+        (GridSpec(n=1, extents=((-4, 3), (-7, -1), (-5, 4)), mu=-2), ("t", 1)),
+        (GridSpec(n=2, extents=((0, 4),) * 5, factors=(2, 2), mu=1), ("t", 0, 1)),
+        (GridSpec(n=2, extents=((-3, 2), (-2, 3), (-4, 0), (-1, 4), (-3, 3)), factors=(1, 3), mu=1), ("t", 1)),
+    ]
+    batches = []
+    for g, crosses in grids:
+        for count in (1, 60, 400):
+            rects = [random_rectangle(g, rng) for _ in range(count)]
+            for cross in crosses:
+                batches.append((g, order_for_selection(rects, cross), cross))
+        dupes = [random_rectangle(g, rng) for _ in range(20)] * 3
+        batches.append((g, order_for_selection(dupes), "t"))
+        batches.append((g, dupes, crosses[-1]))
+    g16 = GridSpec.cube(1, 16, mu=1)
+    units = [fb([(x, x), (y, y), (t, t)], (1, 1)) for t in range(0, 16, 2) for x in range(16) for y in range(16)]
+    batches.append((g16, units[:2000], "t"))
+    for g, rects, cross in batches:
+        sel = covering_select(rects, g, cross)
+        chosen, companions, rows = _literal_select(rects, g, cross)
+        assert (sel.chosen_indices, sel.companions, sel.rows) == (chosen, companions, rows)
+        assert all(type(row.overlap_cells) is int and type(row.volume) is int for row in sel.rows)
+        assert replay_selection(sel, g) == []
+    assert len(sel.chosen_indices) == 2000
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ recomputed here by brute force (full enumeration, np.cumsum) so the
 numpy paths have an independent check.
 """
 
+import hashlib
 import json
 
 import numpy as np
@@ -128,6 +129,26 @@ def test_rectangle_membership_and_slices():
     assert shifted.clipped_slices(g) == (slice(3, 4), slice(0, 2), slice(0, 2))
     far = Rectangle.from_bounds([(7, 8), (0, 1), (0, 1)], (1, 1))
     assert far.clipped_slices(g) is None
+
+
+@pytest.mark.parametrize("bad", [True, 1.0, np.float64(1)])
+def test_rectangle_and_grid_reject_non_integers(bad):
+    # exact ints pass _as_int at once; bools and floats must not
+    with pytest.raises(DomainError, match="must be an integer"):
+        Rectangle((((bad,), 1), ((0,), 1)), 0, 0)
+    with pytest.raises(DomainError, match="must be an integer"):
+        Rectangle((((0,), bad), ((0,), 1)), 0, 0)
+    with pytest.raises(DomainError, match="must be an integer"):
+        Rectangle((((0,), 1), ((0,), 1)), bad, 2)
+    with pytest.raises(DomainError, match="must be an integer"):
+        GridSpec(n=bad, extents=((0, 1),) * 3)
+    with pytest.raises(DomainError, match="must be an integer"):
+        GridSpec(n=1, extents=((0, 1), (bad, 2), (0, 1)))
+    with pytest.raises(DomainError, match="must be an integer"):
+        GridSpec(n=1, extents=((0, 1),) * 3, mu=bad)
+    r = Rectangle((((np.int64(2),), np.int32(3)), ((0,), 1)), np.int16(1), 4)
+    assert r.bounds == ((2, 4), (0, 0), (1, 4))
+    assert all(type(x) is int for b in r.bounds for x in b)
 
 
 def test_rectangle_rejects_empty_intervals():
@@ -295,3 +316,31 @@ def test_random_rectangle_respects_grid():
     for _ in range(100):
         r = random_rectangle(g, rng, max_sides=(2, 2), max_t_len=1)
         assert max(r.sides) <= 2 and r.t_len == 1
+
+
+@pytest.mark.parametrize(
+    "grid, caps, seed, digest",
+    [
+        (GridSpec.cube(1, 16, mu=1), {}, 11, "3970ea5cf45dcf4c69329222b01d7285d0e641cb3bb22bb53be35c7416276697"),
+        (
+            GridSpec(n=1, extents=((0, 9), (-2, 5), (0, 12)), mu=1),
+            {"max_sides": (3, 2), "max_t_len": 4},
+            12,
+            "53a5e83ce8d3ad704b5e7e4a372cfa58e709a7527684023527e220b179afc6bd",
+        ),
+        (
+            GridSpec(n=2, extents=((-5, 2), (-3, 3), (-4, 1), (-6, 0), (-2, 7)), factors=(2, 2), mu=-1),
+            {},
+            13,
+            "c6b4e18bd66b2d3434fa19e1c6f1a3b40a48504005181176be8144b848c4edfc",
+        ),
+    ],
+    ids=["plain", "capped", "paired-factors-negative-origin"],
+)
+def test_random_rectangle_stream_is_pinned(grid, caps, seed, digest):
+    """The bounds of 2000 draws hash as they did with one scalar
+    rng.integers call per coordinate read from the grid each time: the
+    cover and eta batches, and the harness's boxes fields, stay the same."""
+    rng = np.random.default_rng(seed)
+    bounds = np.asarray([random_rectangle(grid, rng, **caps).bounds for _ in range(2000)], dtype="<i8")
+    assert hashlib.sha256(bounds.tobytes()).hexdigest() == digest
